@@ -34,6 +34,7 @@ from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement
 from .lie import LieElement
 from .linalg import rank_of_rows
+from .sparse import Combination, add_into
 
 Letter = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Word = Tuple[Letter, ...]
@@ -86,11 +87,7 @@ class AssocContext:
                 None,
             )
             if pos is None:
-                nv = out.get(word, Fraction(0)) + coef
-                if nv:
-                    out[word] = nv
-                else:
-                    out.pop(word, None)
+                out[word] = out.get(word, 0) + coef
                 continue
             x, y = word[pos], word[pos + 1]
             head, tail = word[:pos], word[pos + 2 :]
@@ -118,7 +115,7 @@ class AssocContext:
         for wu, cu in x.terms.items():
             for wv, cv in y.terms.items():
                 key = wu + wv
-                raw[key] = raw.get(key, Fraction(0)) + cu * cv
+                raw[key] = raw.get(key, 0) + cu * cv
         return self._straighten(raw)
 
     # -- group-ring and symmetric-group actions ---------------------------
@@ -190,10 +187,10 @@ class AssocContext:
         lctx = x.ctx
         if lctx.group is not self.group or lctx.n != self.n:
             raise ValueError("assoc context mismatch")
-        out = self.zero()
+        out: Terms = {}
         for i, w, c in x.terms():
-            out = out + AssocElement(self, self._embed_word(i, w)).scale(c)
-        return out
+            add_into(out, self._embed_word(i, w), c)
+        return AssocElement(self, out)
 
     def _embed_word(self, block: int, w) -> Terms:
         key = (block, w)
@@ -212,51 +209,14 @@ class AssocContext:
         return result
 
 
-@dataclass(frozen=True, eq=False)
-class AssocElement:
+class AssocElement(Combination):
     """Rational combination of canonical words, graded by word length."""
 
     ctx: AssocContext
     terms: Terms
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {w: c for w, c in self.terms.items() if c}
-        )
-
-    def __add__(self, other: "AssocElement") -> "AssocElement":
-        self.ctx._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nv = out.get(w, Fraction(0)) + c
-            if nv:
-                out[w] = nv
-            else:
-                out.pop(w, None)
-        return AssocElement(self.ctx, out)
-
-    def __sub__(self, other: "AssocElement") -> "AssocElement":
-        return self + other.scale(Fraction(-1))
-
     def __mul__(self, other: "AssocElement") -> "AssocElement":
         return self.ctx.multiply(self, other)
-
-    def scale(self, c) -> "AssocElement":
-        c = Fraction(c)
-        return AssocElement(self.ctx, {w: c * v for w, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AssocElement)
-            and self.ctx is other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("AssocElement is not hashable")
 
     def sorted_terms(self) -> List[Tuple[Word, Fraction]]:
         """Sorted by (length, block sequence, letters)."""
@@ -272,21 +232,10 @@ class AssocElement:
     def degrees(self) -> List[int]:
         return sorted({len(w) for w in self.terms})
 
-    def __repr__(self):
-        if self.is_zero():
-            return "AssocElement(0)"
+    def _label_repr(self, w: Word) -> str:
         g = self.ctx.group
-        bits = []
-        for w, c in self.sorted_terms():
-            word = (
-                " ".join(
-                    f"X({i},{j}|{g.format_element(g.element_by_uid(uid))})"
-                    for i, j, uid in w
-                )
-                or "1"
-            )
-            bits.append(f"{c}*{word}")
-        return "AssocElement(" + " + ".join(bits) + ")"
+        letters = (f"X({i},{j}|{g.format_element(g.element_by_uid(uid))})" for i, j, uid in w)
+        return " ".join(letters) or "1"
 
 
 # ---------------------------------------------------------------------------

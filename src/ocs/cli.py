@@ -255,10 +255,11 @@ def _cmd_poisson(args) -> int:
             if set(doc) != {"grading", "expr"}:
                 raise ParseError('grading envelope needs fields {"grading", "expr"}')
             header = doc["grading"]
-            try:
-                k, q = int(header["k"]), int(header["q"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError('grading header needs integer fields "k" and "q"') from exc
+            if not isinstance(header, dict) or any(
+                type(header.get(key)) is not int for key in ("k", "q")
+            ):
+                raise ParseError('grading header needs integer fields "k" and "q"')
+            k, q = header["k"], header["q"]
             node = doc["expr"]
         if k is None or q is None:
             raise ParseError("a grading is required: pass --k/--q or a grading header")

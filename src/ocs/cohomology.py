@@ -19,13 +19,13 @@ by the rank oracle below; a mismatch would surface as a dimension drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement
 from .linalg import rank_of_rows
+from .sparse import Combination, add_into
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Monomial = Tuple[Factor, ...]  # strictly increasing top indices
@@ -66,16 +66,12 @@ class CohomContext:
         out: Terms = {}
         for mu, cu in x.terms.items():
             for mv, cv in y.terms.items():
-                for mono, c in self._normalize(mu + mv, cu * cv).items():
-                    nv = out.get(mono, Fraction(0)) + c
-                    if nv:
-                        out[mono] = nv
-                    else:
-                        out.pop(mono, None)
+                add_into(out, self._normalize(mu + mv, cu * cv))
         return CohomElement(self, out)
 
     def _normalize(self, factors: Monomial, coef: Fraction) -> Terms:
-        """Rewrite a raw product of degree-1 classes to admissible form."""
+        """Rewrite a raw product of degree-1 classes to admissible form.
+        Monomials that cancel may remain with coefficient zero."""
         out: Terms = {}
         stack = [(factors, coef)]
         while stack:
@@ -87,11 +83,7 @@ class CohomContext:
                 None,
             )
             if pos is None:
-                nv = out.get(fac, Fraction(0)) + c
-                if nv:
-                    out[fac] = nv
-                else:
-                    out.pop(fac, None)
+                out[fac] = out.get(fac, 0) + c
                 continue
             x, y = fac[pos], fac[pos + 1]
             head, tail = fac[:pos], fac[pos + 2 :]
@@ -116,51 +108,14 @@ class CohomContext:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class CohomElement:
+class CohomElement(Combination):
     """Rational combination of admissible monomials, graded by length."""
 
     ctx: CohomContext
     terms: Terms
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {m: c for m, c in self.terms.items() if c}
-        )
-
-    def __add__(self, other: "CohomElement") -> "CohomElement":
-        self.ctx._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nv = out.get(m, Fraction(0)) + c
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
-        return CohomElement(self.ctx, out)
-
-    def __sub__(self, other: "CohomElement") -> "CohomElement":
-        return self + other.scale(Fraction(-1))
-
     def __mul__(self, other: "CohomElement") -> "CohomElement":
         return self.ctx.cup(self, other)
-
-    def scale(self, c) -> "CohomElement":
-        c = Fraction(c)
-        return CohomElement(self.ctx, {m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CohomElement)
-            and self.ctx is other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("CohomElement is not hashable")
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
         """Sorted by (degree, top-index sequence, letters)."""
@@ -176,21 +131,10 @@ class CohomElement:
     def degrees(self) -> List[int]:
         return sorted({len(m) for m in self.terms})
 
-    def __repr__(self):
-        if self.is_zero():
-            return "CohomElement(0)"
+    def _label_repr(self, m: Monomial) -> str:
         g = self.ctx.group
-        bits = []
-        for m, c in self.sorted_terms():
-            word = (
-                " ".join(
-                    f"A({i},{j}|{g.format_element(g.element_by_uid(uid))})"
-                    for i, j, uid in m
-                )
-                or "1"
-            )
-            bits.append(f"{c}*{word}")
-        return "CohomElement(" + " + ".join(bits) + ")"
+        factors = (f"A({i},{j}|{g.format_element(g.element_by_uid(uid))})" for i, j, uid in m)
+        return " ".join(factors) or "1"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ the per-module canonical orders so identical inputs yield identical bytes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import List
 
@@ -58,10 +59,9 @@ def _node_kind(node, allowed) -> str:
 def _parse_triple(obj, group):
     if not isinstance(obj, dict) or set(obj) != {"i", "j", "sigma"}:
         raise ParseError('generator needs fields {"i", "j", "sigma"}')
-    try:
-        i, j = int(obj["i"]), int(obj["j"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("generator indices must be integers") from exc
+    i, j = obj["i"], obj["j"]
+    if type(i) is not int or type(j) is not int:
+        raise ParseError("generator indices must be integers")
     return i, j, group.parse_element(str(obj["sigma"]))
 
 
@@ -69,34 +69,71 @@ def _triple_jsonable(group, i, j, uid):
     return {"i": i, "j": j, "sigma": group.format_element(group.element_by_uid(uid))}
 
 
-# -- lie ---------------------------------------------------------------------
+# -- evaluation --------------------------------------------------------------
+
+
+def _evaluate(node, ctx, leaves, brackets, products):
+    """Evaluate an AST node of one grammar.  ``leaves`` maps leaf kinds to
+    parsers (body, ctx) -> element; kinds in ``brackets`` take exactly two
+    operands and apply ``ctx.bracket``; kinds in ``products`` multiply a
+    list of operands starting from ``ctx.one()``.  Every grammar also has
+    "add" and "scale"."""
+    kind = _node_kind(node, {*leaves, *brackets, *products, "add", "scale"})
+    body = node[kind]
+    if kind in leaves:
+        return leaves[kind](body, ctx)
+    if kind == "scale":
+        if not isinstance(body, dict) or set(body) != {"coef", "arg"}:
+            raise ParseError('scale needs fields {"coef", "arg"}')
+        coef = parse_coefficient(body["coef"])
+        return _evaluate(body["arg"], ctx, leaves, brackets, products).scale(coef)
+    if kind in brackets:
+        if not isinstance(body, list) or len(body) != 2:
+            raise ParseError(f"{kind} needs exactly two operands")
+        left, right = (_evaluate(x, ctx, leaves, brackets, products) for x in body)
+        return ctx.bracket(left, right)
+    if not isinstance(body, list):
+        raise ParseError(f"{kind} needs a list of operands")
+    out, combine = (ctx.zero(), operator.add) if kind == "add" else (ctx.one(), operator.mul)
+    for child in body:
+        out = combine(out, _evaluate(child, ctx, leaves, brackets, products))
+    return out
+
+
+def _gen(body, ctx):
+    return ctx.generator(*_parse_triple(body, ctx.group))
+
+
+def _cohom_gen(body, ctx):
+    i, j, sigma = _parse_triple(body, ctx.group)
+    if i < j:
+        i, j, sigma = j, i, ctx.group.invert(sigma)
+    return ctx.generator(i, j, sigma)
+
+
+def _word(body, ctx):
+    if not isinstance(body, list):
+        raise ParseError("word needs a list of letters")
+    return ctx.word([ctx.letter(*_parse_triple(obj, ctx.group)) for obj in body])
 
 
 def eval_lie(node, ctx: LieContext) -> LieElement:
-    kind = _node_kind(node, {"gen", "bracket", "add", "scale"})
-    body = node[kind]
-    if kind == "gen":
-        i, j, sigma = _parse_triple(body, ctx.group)
-        return ctx.generator(i, j, sigma)
-    if kind == "bracket":
-        if not isinstance(body, list) or len(body) != 2:
-            raise ParseError("bracket needs exactly two operands")
-        return ctx.bracket(eval_lie(body[0], ctx), eval_lie(body[1], ctx))
-    if kind == "add":
-        if not isinstance(body, list):
-            raise ParseError("add needs a list of operands")
-        out = ctx.zero()
-        for child in body:
-            out = out + eval_lie(child, ctx)
-        return out
-    coef, arg = _parse_scale(body)
-    return eval_lie(arg, ctx).scale(coef)
+    return _evaluate(node, ctx, {"gen": _gen}, ("bracket",), ())
 
 
-def _parse_scale(body):
-    if not isinstance(body, dict) or set(body) != {"coef", "arg"}:
-        raise ParseError('scale needs fields {"coef", "arg"}')
-    return parse_coefficient(body["coef"]), body["arg"]
+def eval_assoc(node, ctx: AssocContext) -> AssocElement:
+    return _evaluate(node, ctx, {"word": _word}, (), ("mul",))
+
+
+def eval_poisson(node, ctx: PoissonContext) -> PoissonElement:
+    return _evaluate(node, ctx, {"gen": _gen}, ("lambda",), ("mul",))
+
+
+def eval_cohom(node, ctx: CohomContext) -> CohomElement:
+    return _evaluate(node, ctx, {"gen": _cohom_gen}, (), ("cup",))
+
+
+# -- serialization -----------------------------------------------------------
 
 
 def lie_jsonable(x: LieElement) -> List[dict]:
@@ -111,38 +148,6 @@ def lie_jsonable(x: LieElement) -> List[dict]:
     ]
 
 
-# -- assoc -------------------------------------------------------------------
-
-
-def eval_assoc(node, ctx: AssocContext) -> AssocElement:
-    kind = _node_kind(node, {"word", "mul", "add", "scale"})
-    body = node[kind]
-    if kind == "word":
-        if not isinstance(body, list):
-            raise ParseError("word needs a list of letters")
-        letters = []
-        for obj in body:
-            i, j, sigma = _parse_triple(obj, ctx.group)
-            letters.append(ctx.letter(i, j, sigma))
-        return ctx.word(letters)
-    if kind == "mul":
-        if not isinstance(body, list):
-            raise ParseError("mul needs a list of operands")
-        out = ctx.one()
-        for child in body:
-            out = out * eval_assoc(child, ctx)
-        return out
-    if kind == "add":
-        if not isinstance(body, list):
-            raise ParseError("add needs a list of operands")
-        out = ctx.zero()
-        for child in body:
-            out = out + eval_assoc(child, ctx)
-        return out
-    coef, arg = _parse_scale(body)
-    return eval_assoc(arg, ctx).scale(coef)
-
-
 def assoc_jsonable(x: AssocElement) -> List[dict]:
     group = x.ctx.group
     return [
@@ -152,37 +157,6 @@ def assoc_jsonable(x: AssocElement) -> List[dict]:
         }
         for w, c in x.sorted_terms()
     ]
-
-
-# -- poisson -----------------------------------------------------------------
-
-
-def eval_poisson(node, ctx: PoissonContext) -> PoissonElement:
-    kind = _node_kind(node, {"gen", "lambda", "mul", "add", "scale"})
-    body = node[kind]
-    if kind == "gen":
-        i, j, sigma = _parse_triple(body, ctx.group)
-        return ctx.generator(i, j, sigma)
-    if kind == "lambda":
-        if not isinstance(body, list) or len(body) != 2:
-            raise ParseError("lambda needs exactly two operands")
-        return ctx.bracket(eval_poisson(body[0], ctx), eval_poisson(body[1], ctx))
-    if kind == "mul":
-        if not isinstance(body, list):
-            raise ParseError("mul needs a list of operands")
-        out = ctx.one()
-        for child in body:
-            out = out * eval_poisson(child, ctx)
-        return out
-    if kind == "add":
-        if not isinstance(body, list):
-            raise ParseError("add needs a list of operands")
-        out = ctx.zero()
-        for child in body:
-            out = out + eval_poisson(child, ctx)
-        return out
-    coef, arg = _parse_scale(body)
-    return eval_poisson(arg, ctx).scale(coef)
 
 
 def poisson_jsonable(x: PoissonElement) -> List[dict]:
@@ -205,35 +179,6 @@ def poisson_jsonable(x: PoissonElement) -> List[dict]:
             }
         )
     return out
-
-
-# -- cohomology --------------------------------------------------------------
-
-
-def eval_cohom(node, ctx: CohomContext) -> CohomElement:
-    kind = _node_kind(node, {"gen", "cup", "add", "scale"})
-    body = node[kind]
-    if kind == "gen":
-        i, j, sigma = _parse_triple(body, ctx.group)
-        if i < j:
-            i, j, sigma = j, i, ctx.group.invert(sigma)
-        return ctx.generator(i, j, sigma)
-    if kind == "cup":
-        if not isinstance(body, list):
-            raise ParseError("cup needs a list of operands")
-        out = ctx.one()
-        for child in body:
-            out = out * eval_cohom(child, ctx)
-        return out
-    if kind == "add":
-        if not isinstance(body, list):
-            raise ParseError("add needs a list of operands")
-        out = ctx.zero()
-        for child in body:
-            out = out + eval_cohom(child, ctx)
-        return out
-    coef, arg = _parse_scale(body)
-    return eval_cohom(arg, ctx).scale(coef)
 
 
 def cohom_jsonable(x: CohomElement) -> List[dict]:

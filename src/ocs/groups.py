@@ -233,7 +233,9 @@ class FiniteGroup(GroupContext):
             raise ValueError("element names must be distinct")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square of matching size")
-        tbl = tuple(tuple(int(v) for v in row) for row in table)
+        if any(type(v) is not int for row in table for v in row):
+            raise ValueError("table entries must be integers")
+        tbl = tuple(tuple(row) for row in table)
         for row in tbl:
             for v in row:
                 if not 0 <= v < n:
@@ -522,13 +524,23 @@ def cyclic_group(m: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
 
 def group_from_spec(spec: dict) -> GroupContext:
     """Build a context from the JSON group-spec object."""
+    if not isinstance(spec, dict):
+        raise ParseError("group spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "finite":
-        return FiniteGroup(spec["elements"], spec["table"])
+        names, table = spec.get("elements"), spec.get("table")
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise ParseError('finite group spec needs "elements": a list of names')
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ParseError('finite group spec needs "table": a list of rows')
+        return FiniteGroup(names, table)
     if kind == "lattice":
         return LatticeGroup()
     if kind == "surface":
-        return SurfaceGroup(int(spec["genus"]))
+        genus = spec.get("genus")
+        if type(genus) is not int:
+            raise ParseError('surface group spec needs an integer "genus"')
+        return SurfaceGroup(genus)
     raise ParseError(f"unknown group kind {kind!r}")
 
 

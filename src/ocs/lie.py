@@ -49,6 +49,7 @@ from . import lyndon
 from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement
 from .linalg import rank_of_rows
+from .sparse import add_into
 
 Letter = Tuple[int, int]  # (lower strand j, decoration uid), inside a block
 Word = Tuple[Letter, ...]
@@ -123,12 +124,7 @@ class LieContext:
         of the letter derivations."""
         out: Dict[Word, Fraction] = {}
         for w, c in target.items():
-            for res_word, res_c in self._act_word_single(s, act, w).items():
-                nv = out.get(res_word, Fraction(0)) + c * res_c
-                if nv:
-                    out[res_word] = nv
-                else:
-                    out.pop(res_word, None)
+            add_into(out, self._act_word_single(s, act, w), c)
         return out
 
     def _act_word_single(self, s: int, act: Word, w: Word) -> Dict[Word, Fraction]:
@@ -139,13 +135,11 @@ class LieContext:
         if cached is not None:
             return cached
         u, v = lyndon.standard_factorization(act)
-        result = self._act_word(s, u, self._act_word_single(s, v, w))
-        for word, c in self._act_word(s, v, self._act_word_single(s, u, w)).items():
-            nv = result.get(word, Fraction(0)) - c
-            if nv:
-                result[word] = nv
-            else:
-                result.pop(word, None)
+        result = add_into(
+            self._act_word(s, u, self._act_word_single(s, v, w)),
+            self._act_word(s, v, self._act_word_single(s, u, w)),
+            -1,
+        )
         self._deriv_cache[key] = result
         return result
 
@@ -177,13 +171,10 @@ class LieContext:
             u, v = lyndon.standard_factorization(w)
             du = self._act_letter_word(s, letter, u)
             dv = self._act_letter_word(s, letter, v)
-            result = lyndon.free_lie_bracket(du, {v: Fraction(1)})
-            for word, c in lyndon.free_lie_bracket({u: Fraction(1)}, dv).items():
-                nv = result.get(word, Fraction(0)) + c
-                if nv:
-                    result[word] = nv
-                else:
-                    result.pop(word, None)
+            result = add_into(
+                lyndon.free_lie_bracket(du, {v: Fraction(1)}),
+                lyndon.free_lie_bracket({u: Fraction(1)}, dv),
+            )
         self._deriv_cache[key] = result
         return result
 
@@ -213,13 +204,7 @@ class LieContext:
 def _add_block(out: Blocks, block: int, terms: Dict[Word, Fraction], coef: Fraction) -> None:
     if not coef:
         return
-    dst = out.setdefault(block, {})
-    for w, c in terms.items():
-        nv = dst.get(w, Fraction(0)) + coef * c
-        if nv:
-            dst[w] = nv
-        else:
-            dst.pop(w, None)
+    dst = add_into(out.setdefault(block, {}), terms, coef)
     if not dst:
         out.pop(block, None)
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
+from .sparse import add_into
+
 Word = Tuple
 
 
@@ -170,19 +172,9 @@ def lyndon_pair_bracket(u: Word, v: Word) -> Dict[Word, int]:
         u1, u2 = standard_factorization(u)
         result: Dict[Word, int] = {}
         for w, c in lyndon_pair_bracket(u2, v).items():
-            for w2, c2 in lyndon_pair_bracket(u1, w).items():
-                nv = result.get(w2, 0) + c * c2
-                if nv:
-                    result[w2] = nv
-                else:
-                    result.pop(w2, None)
+            add_into(result, lyndon_pair_bracket(u1, w), c)
         for w, c in lyndon_pair_bracket(u1, v).items():
-            for w2, c2 in lyndon_pair_bracket(u2, w).items():
-                nv = result.get(w2, 0) - c * c2
-                if nv:
-                    result[w2] = nv
-                else:
-                    result.pop(w2, None)
+            add_into(result, lyndon_pair_bracket(u2, w), -c)
     _PAIR_CACHE[key] = result
     return result
 
@@ -195,14 +187,8 @@ def free_lie_bracket(
     for wu, cu in a.items():
         for wv, cv in b.items():
             c = cu * cv
-            if not c:
-                continue
-            for w, k in lyndon_pair_bracket(wu, wv).items():
-                nv = out.get(w, Fraction(0)) + c * k
-                if nv:
-                    out[w] = nv
-                else:
-                    out.pop(w, None)
+            if c:
+                add_into(out, lyndon_pair_bracket(wu, wv), c)
     return out
 
 

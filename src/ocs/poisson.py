@@ -31,8 +31,8 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import lie as lie_mod
-from . import lyndon
 from .groups import GroupContext, GroupElement
+from .sparse import Combination, add_into
 
 Primitive = Tuple[int, tuple]  # (block, Lyndon word of block-local letters)
 Monomial = Tuple[Primitive, ...]  # sorted by _prim_key
@@ -116,11 +116,9 @@ class PoissonContext:
         """A Lie normal form as a combination of primitive monomials."""
         if x.ctx.group is not self.group or x.ctx.n != self.n:
             raise ValueError("poisson grading mismatch")
-        terms: Terms = {}
-        for block, word, c in x.terms():
-            mono: Monomial = ((block, word),)
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return PoissonElement(self, terms)
+        return PoissonElement(
+            self, {((block, word),): c for block, word, c in x.terms()}
+        )
 
     def primitive_degree_of(self, p: Primitive) -> int:
         return self.grading.primitive_degree(len(p[1]))
@@ -165,11 +163,7 @@ class PoissonContext:
                 mono, sign = self._merge(mu, mv)
                 if mono is None:
                     continue
-                nv = out.get(mono, Fraction(0)) + sign * cu * cv
-                if nv:
-                    out[mono] = nv
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + sign * cu * cv
         return PoissonElement(self, out)
 
     # -- the bracket ---------------------------------------------------------
@@ -177,11 +171,11 @@ class PoissonContext:
     def bracket(self, x: "PoissonElement", y: "PoissonElement") -> "PoissonElement":
         self._check(x)
         self._check(y)
-        out = self.zero()
+        out: Terms = {}
         for mu, cu in x.terms.items():
             for mv, cv in y.terms.items():
-                out = out + self._bracket_monomials(mu, mv).scale(cu * cv)
-        return out
+                add_into(out, self._bracket_monomials(mu, mv).terms, cu * cv)
+        return PoissonElement(self, out)
 
     def _bracket_monomials(self, left: Monomial, right: Monomial) -> "PoissonElement":
         if not left or not right:
@@ -223,57 +217,26 @@ class PoissonContext:
         return self.from_lie(self.lie.bracket(xa, xb))
 
 
-@dataclass(frozen=True, eq=False)
-class PoissonElement:
+class PoissonElement(Combination):
+    """Rational combination of sorted primitive monomials; elements over
+    compatible contexts (same group, n and grading) compare and combine."""
+
     ctx: PoissonContext
     terms: Terms
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {m: c for m, c in self.terms.items() if c}
-        )
-
-    def __add__(self, other: "PoissonElement") -> "PoissonElement":
-        self.ctx._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nv = out.get(m, Fraction(0)) + c
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
-        return PoissonElement(self.ctx, out)
-
-    def __sub__(self, other: "PoissonElement") -> "PoissonElement":
-        return self + other.scale(Fraction(-1))
+    def _same_ctx(self, ctx) -> bool:
+        return self.ctx.compatible(ctx)
 
     def __mul__(self, other: "PoissonElement") -> "PoissonElement":
         return self.ctx.multiply(self, other)
 
-    def scale(self, c) -> "PoissonElement":
-        c = Fraction(c)
-        return PoissonElement(self.ctx, {m: c * v for m, v in self.terms.items()})
-
     def bracket(self, other: "PoissonElement") -> "PoissonElement":
         return self.ctx.bracket(self, other)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> Optional[int]:
         """Common degree of all monomials, or None if inhomogeneous/zero."""
         degs = {self.ctx.monomial_degree(m) for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PoissonElement)
-            and self.ctx.compatible(other.ctx)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("PoissonElement is not hashable")
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
         return sorted(
@@ -285,16 +248,8 @@ class PoissonElement:
             ),
         )
 
-    def __repr__(self):
-        if self.is_zero():
-            return "PoissonElement(0)"
-        bits = []
-        for m, c in self.sorted_terms():
-            factors = (
-                " * ".join(f"P{p[0]}{list(p[1])}" for p in m) or "1"
-            )
-            bits.append(f"{c}*({factors})")
-        return "PoissonElement(" + " + ".join(bits) + ")"
+    def _label_repr(self, m: Monomial) -> str:
+        return "(" + (" * ".join(f"P{p[0]}{list(p[1])}" for p in m) or "1") + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +261,12 @@ def suspension(x: PoissonElement) -> PoissonElement:
     the loop depth k drops by one (so degrees rise by one)."""
     ctx = x.ctx
     target = PoissonContext(ctx.group, ctx.n, ctx.grading.suspended())
-    terms: Terms = {}
-    for mono, c in x.terms.items():
-        if len(mono) != 1:
-            raise ValueError(
-                "suspension is defined on the primitive part only; "
-                "got a product monomial"
-            )
-        terms[mono] = terms.get(mono, Fraction(0)) + c
-    return PoissonElement(target, terms)
+    if any(len(mono) != 1 for mono in x.terms):
+        raise ValueError(
+            "suspension is defined on the primitive part only; "
+            "got a product monomial"
+        )
+    return PoissonElement(target, x.terms)
 
 
 # ---------------------------------------------------------------------------
