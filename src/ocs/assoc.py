@@ -34,11 +34,11 @@ from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement
 from .lie import LieElement
 from .linalg import rank_of_rows
-from .sparse import Combination, add_into
+from .sparse import Coef, Combination, add_into
 
 Letter = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Word = Tuple[Letter, ...]
-Terms = Dict[Word, Fraction]
+Terms = Dict[Word, Coef]
 
 
 class AssocContext:
@@ -60,16 +60,16 @@ class AssocContext:
         return (i, j, gamma.uid)
 
     def one(self) -> "AssocElement":
-        return AssocElement(self, {(): Fraction(1)})
+        return AssocElement(self, {(): 1})
 
     def zero(self) -> "AssocElement":
         return AssocElement(self, {})
 
     def generator(self, i: int, j: int, gamma: GroupElement) -> "AssocElement":
-        return AssocElement(self, {(self.letter(i, j, gamma),): Fraction(1)})
+        return AssocElement(self, {(self.letter(i, j, gamma),): 1})
 
     def word(self, letters: Sequence[Letter]) -> "AssocElement":
-        return self._straighten({tuple(letters): Fraction(1)})
+        return self._straighten({tuple(letters): 1})
 
     def _check(self, x: "AssocElement") -> None:
         if not isinstance(x, AssocElement) or x.ctx is not self:
@@ -79,7 +79,7 @@ class AssocContext:
 
     def _straighten(self, terms: Terms) -> "AssocElement":
         out: Terms = {}
-        stack = [(w, Fraction(c)) for w, c in terms.items() if c]
+        stack = [(w, c) for w, c in terms.items() if c]
         while stack:
             word, coef = stack.pop()
             pos = next(
@@ -165,7 +165,7 @@ class AssocContext:
                 self.letter(perm[i - 1], perm[j - 1], self.group.element_by_uid(uid))
                 for i, j, uid in w
             )
-            raw[new] = raw.get(new, Fraction(0)) + c
+            raw[new] = raw.get(new, 0) + c
         return self._straighten(raw)
 
     def act_tilde(
@@ -199,7 +199,7 @@ class AssocContext:
             return cached
         if len(w) == 1:
             j, uid = w[0]
-            result: Terms = {((block, j, uid),): Fraction(1)}
+            result: Terms = {((block, j, uid),): 1}
         else:
             u, v = lyndon.standard_factorization(w)
             eu = AssocElement(self, self._embed_word(block, u))
@@ -218,7 +218,7 @@ class AssocElement(Combination):
     def __mul__(self, other: "AssocElement") -> "AssocElement":
         return self.ctx.multiply(self, other)
 
-    def sorted_terms(self) -> List[Tuple[Word, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Word, Coef]]:
         """Sorted by (length, block sequence, letters)."""
         return sorted(
             self.terms.items(),

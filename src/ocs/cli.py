@@ -16,12 +16,7 @@ import json
 import sys
 from typing import List, Optional
 
-from . import assoc as assoc_mod
-from . import cohomology as cohom_mod
 from . import expressions
-from . import lie as lie_mod
-from . import poisson as poisson_mod
-from . import verify as verify_mod
 from .errors import ParseError, ResourceLimitError
 from .groups import load_group
 
@@ -178,6 +173,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_lie(args) -> int:
+    from . import lie as lie_mod
+
     group = load_group(args.group)
     if args.subcommand == "normal-form":
         ctx = lie_mod.LieContext(group, args.n, args.q)
@@ -218,6 +215,8 @@ def _cmd_lie(args) -> int:
 
 
 def _cmd_assoc(args) -> int:
+    from . import assoc as assoc_mod
+
     group = load_group(args.group)
     ctx = assoc_mod.AssocContext(group, args.n)
     if args.subcommand == "multiply":
@@ -232,6 +231,8 @@ def _cmd_assoc(args) -> int:
 
 
 def _cmd_cohom(args) -> int:
+    from . import cohomology as cohom_mod
+
     group = load_group(args.group)
     ctx = cohom_mod.CohomContext(group, args.n)
     if args.subcommand == "cup":
@@ -246,6 +247,8 @@ def _cmd_cohom(args) -> int:
 
 
 def _cmd_poisson(args) -> int:
+    from . import poisson as poisson_mod
+
     group = load_group(args.group)
     if args.subcommand == "bracket":
         doc = _load_expr(args)
@@ -259,6 +262,11 @@ def _cmd_poisson(args) -> int:
                 type(header.get(key)) is not int for key in ("k", "q")
             ):
                 raise ParseError('grading header needs integer fields "k" and "q"')
+            for key, flag in (("k", args.k), ("q", args.q)):
+                if flag is not None and flag != header[key]:
+                    raise ParseError(
+                        f"--{key} {flag} conflicts with the grading header's {key}={header[key]}"
+                    )
             k, q = header["k"], header["q"]
             node = doc["expr"]
         if k is None or q is None:
@@ -285,6 +293,8 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     cfg = verify_mod.VerifyConfig(
         group=args.group,
         n=args.n,

@@ -25,11 +25,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement
 from .linalg import rank_of_rows
-from .sparse import Combination, add_into
+from .sparse import Coef, Combination, add_into
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Monomial = Tuple[Factor, ...]  # strictly increasing top indices
-Terms = Dict[Monomial, Fraction]
+Terms = Dict[Monomial, Coef]
 
 
 class CohomContext:
@@ -46,13 +46,13 @@ class CohomContext:
         return (i, j, sigma.uid)
 
     def one(self) -> "CohomElement":
-        return CohomElement(self, {(): Fraction(1)})
+        return CohomElement(self, {(): 1})
 
     def zero(self) -> "CohomElement":
         return CohomElement(self, {})
 
     def generator(self, i: int, j: int, sigma: GroupElement) -> "CohomElement":
-        return CohomElement(self, {(self.factor(i, j, sigma),): Fraction(1)})
+        return CohomElement(self, {(self.factor(i, j, sigma),): 1})
 
     def _check(self, x: "CohomElement") -> None:
         if not isinstance(x, CohomElement) or x.ctx is not self:
@@ -69,7 +69,7 @@ class CohomContext:
                 add_into(out, self._normalize(mu + mv, cu * cv))
         return CohomElement(self, out)
 
-    def _normalize(self, factors: Monomial, coef: Fraction) -> Terms:
+    def _normalize(self, factors: Monomial, coef: Coef) -> Terms:
         """Rewrite a raw product of degree-1 classes to admissible form.
         Monomials that cancel may remain with coefficient zero."""
         out: Terms = {}
@@ -117,7 +117,7 @@ class CohomElement(Combination):
     def __mul__(self, other: "CohomElement") -> "CohomElement":
         return self.ctx.cup(self, other)
 
-    def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Monomial, Coef]]:
         """Sorted by (degree, top-index sequence, letters)."""
         return sorted(
             self.terms.items(),

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .assoc import AssocContext, AssocElement
-from .cohomology import CohomContext, CohomElement
 from .errors import ParseError
-from .lie import LieContext, LieElement
-from .poisson import PoissonContext, PoissonElement
+
+if TYPE_CHECKING:
+    from .assoc import AssocContext, AssocElement
+    from .cohomology import CohomContext, CohomElement
+    from .lie import LieContext, LieElement
+    from .poisson import PoissonContext, PoissonElement
 
 _AST_DOC = "see the expression AST schema in the README"
 

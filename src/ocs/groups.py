@@ -4,8 +4,8 @@ genus-g surface groups with the word problem solved by Dehn's algorithm.
 All algebra layers consume the same small interface: exact multiplication,
 inversion, equality, canonical forms, and breadth-first balls.
 
-* ``FiniteGroup`` -- explicit multiplication table, fully validated at load
-  (closure, two-sided identity, inverses, associativity on all triples).
+* ``FiniteGroup`` -- explicit multiplication table (order <= 512), fully
+  validated at load (closure, identity, inverses, Light's associativity test).
 * ``LatticeGroup`` -- the free abelian group on two generators (genus 1).
 * ``SurfaceGroup`` -- the one-relator presentation
   < a1, b1, .., ag, bg | [a1,b1]...[ag,bg] > for genus g >= 2.  Words are
@@ -38,6 +38,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import ParseError, ResourceLimitError
 
 Payload = Tuple
+
+MAX_FINITE_ORDER = 512  # larger tables are refused; validation is n^2 log n
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +163,6 @@ class GroupContext:
     def is_identity(self, x: GroupElement) -> bool:
         return self.equals(x, self.identity())
 
-    def sort_key(self, x: GroupElement):
-        """(word length, canonical word) -- the deterministic order."""
-        return (self._length(x.payload), self._payload_key(x.payload))
-
     def _check(self, x: GroupElement) -> None:
         if not isinstance(x, GroupElement) or x.ctx is not self:
             raise ValueError("group backend mismatch")
@@ -229,6 +227,8 @@ class FiniteGroup(GroupContext):
         n = len(names)
         if n == 0:
             raise ValueError("finite group needs at least one element")
+        if n > MAX_FINITE_ORDER:
+            raise ResourceLimitError(f"group order {n} exceeds the limit {MAX_FINITE_ORDER}")
         if len(set(names)) != n:
             raise ValueError("element names must be distinct")
         if len(table) != n or any(len(row) != n for row in table):
@@ -256,12 +256,8 @@ class FiniteGroup(GroupContext):
             if inv is None:
                 raise ValueError(f"element {names[i]!r} has no inverse")
             inverses.append(inv)
-        for a in range(n):
-            for b in range(n):
-                ab = tbl[a][b]
-                for c in range(n):
-                    if tbl[ab][c] != tbl[a][tbl[b][c]]:
-                        raise ValueError("table is not associative")
+        if not _is_associative(tbl, ident):
+            raise ValueError("table is not associative")
         self.names = names
         self.table = tbl
         self._ident = ident
@@ -315,6 +311,30 @@ class FiniteGroup(GroupContext):
 
     def format_element(self, x: GroupElement) -> str:
         return self.names[x.payload[0]]
+
+
+def _is_associative(tbl: Tuple[Tuple[int, ...], ...], ident: int) -> bool:
+    """Light's test (Clifford-Preston 1961, section 1.2): (xy)g = x(yg) for all x, y and
+    each g of a greedy set whose right products ident.g1...gk reach every element.  In a
+    group each greedy generator doubles the reach, so a set over log2 n long refutes it."""
+    gens, reached = [], {ident}
+    for a in range(len(tbl)):
+        if a in reached:
+            continue
+        if len(gens) == len(tbl).bit_length():
+            return False
+        gens.append(a)
+        stack = list(reached)
+        while stack:
+            row = tbl[stack.pop()]
+            new = {row[g] for g in gens} - reached
+            reached |= new
+            stack.extend(new)
+    for g in gens:
+        col = [row[g] for row in tbl]  # col[z] = zg, and row[y] = xy
+        if any([col[v] for v in row] != [row[v] for v in col] for row in tbl):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

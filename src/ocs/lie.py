@@ -32,8 +32,8 @@ exercised by the Jacobi/antisymmetry property suites rather than proved
 here.
 
 All generators have even homological degree 2q, so no Koszul signs enter;
-coefficients are exact rationals.  The parameter q only scales the degree
-2q * (bracket length) and never touches structure constants.
+structure constants are integers, so coefficients are ints until a rational
+scalar brings in Fractions.  q only scales the degree 2q * (bracket length).
 
 Letters inside a block are ordered by (lower strand j, decoration uid);
 words are tuples of such letters.
@@ -41,6 +41,7 @@ words are tuples of such letters.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,11 +50,16 @@ from . import lyndon
 from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement
 from .linalg import rank_of_rows
-from .sparse import add_into
+from .sparse import Coef, add_into
 
 Letter = Tuple[int, int]  # (lower strand j, decoration uid), inside a block
 Word = Tuple[Letter, ...]
-Blocks = Dict[int, Dict[Word, Fraction]]
+Blocks = Dict[int, Dict[Word, Coef]]
+
+
+# group -> n -> derivation memo, shared by every q; holding no reference to
+# the group, it dies with it.
+_STRUCTURES: "weakref.WeakKeyDictionary[GroupContext, dict]" = weakref.WeakKeyDictionary()
 
 
 class LieContext:
@@ -65,7 +71,7 @@ class LieContext:
         self.group = group
         self.n = n
         self.q = q
-        self._deriv_cache: Dict[tuple, Dict[Word, Fraction]] = {}
+        self._deriv_cache = _STRUCTURES.setdefault(group, {}).setdefault(n, {})
 
     # -- element constructors -------------------------------------------
 
@@ -76,7 +82,7 @@ class LieContext:
         """B^sigma_{i,j}; inputs with i < j are normalized via sigma -> sigma^-1."""
         i, j, sigma = self.normalize_index(i, j, sigma)
         word: Word = ((j, sigma.uid),)
-        return LieElement(self, {i: {word: Fraction(1)}})
+        return LieElement(self, {i: {word: 1}})
 
     def normalize_index(
         self, i: int, j: int, sigma: GroupElement
@@ -104,30 +110,31 @@ class LieContext:
             for r, dv in y.blocks.items():
                 for wu, cu in du.items():
                     for wv, cv in dv.items():
-                        c = cu * cv
-                        if p == r:
-                            res = lyndon.free_lie_bracket({wu: Fraction(1)}, {wv: Fraction(1)})
-                            _add_block(out, p, res, c)
-                        elif p < r:
-                            res = self._act_word(p, wu, {wv: Fraction(1)})
-                            _add_block(out, r, res, c)
-                        else:
-                            res = self._act_word(r, wv, {wu: Fraction(1)})
-                            _add_block(out, p, res, -c)
+                        block, terms, sign = self.pair_bracket(p, wu, r, wv)
+                        _add_block(out, block, terms, sign * cu * cv)
         return LieElement(self, out)
 
-    def _act_word(
-        self, s: int, act: Word, target: Dict[Word, Fraction]
-    ) -> Dict[Word, Fraction]:
+    def pair_bracket(self, p: int, wu: Word, r: int, wv: Word) -> Tuple[int, Dict[Word, int], int]:
+        """[b(wu), b(wv)] = sign * terms in the given block, for Lyndon words wu
+        of block p and wv of block r; terms are memoized and must not be mutated."""
+        if p < r:
+            return r, self._act_word_single(p, wu, wv), 1
+        if p > r:
+            return p, self._act_word_single(r, wv, wu), -1
+        if wv < wu:
+            return p, lyndon.lyndon_pair_bracket(wv, wu), -1
+        return p, lyndon.lyndon_pair_bracket(wu, wv), 1
+
+    def _act_word(self, s: int, act: Word, target: Dict[Word, int]) -> Dict[Word, int]:
         """ad(b(act)) applied to a combination in a higher block, where act
         is a Lyndon word of block s.  Longer words act through commutators
         of the letter derivations."""
-        out: Dict[Word, Fraction] = {}
+        out: Dict[Word, int] = {}
         for w, c in target.items():
             add_into(out, self._act_word_single(s, act, w), c)
         return out
 
-    def _act_word_single(self, s: int, act: Word, w: Word) -> Dict[Word, Fraction]:
+    def _act_word_single(self, s: int, act: Word, w: Word) -> Dict[Word, int]:
         if len(act) == 1:
             return self._act_letter_word(s, act[0], w)
         key = (s, act, w)
@@ -143,7 +150,7 @@ class LieContext:
         self._deriv_cache[key] = result
         return result
 
-    def _act_letter_word(self, s: int, letter: Letter, w: Word) -> Dict[Word, Fraction]:
+    def _act_letter_word(self, s: int, letter: Letter, w: Word) -> Dict[Word, int]:
         key = (s, letter, w)
         cached = self._deriv_cache.get(key)
         if cached is not None:
@@ -151,20 +158,14 @@ class LieContext:
         j_act, sig_uid = letter
         if len(w) == 1:
             m, tau_uid = w[0]
-            if m == j_act:
+            if m in (j_act, s):
                 tau = self.group.element_by_uid(tau_uid)
                 sig = self.group.element_by_uid(sig_uid)
-                dec = self.group.multiply(tau, self.group.invert(sig))
-                result = lyndon.free_lie_bracket(
-                    {((m, tau_uid),): Fraction(1)}, {((s, dec.uid),): Fraction(1)}
-                )
-            elif m == s:
-                tau = self.group.element_by_uid(tau_uid)
-                sig = self.group.element_by_uid(sig_uid)
-                dec = self.group.multiply(tau, sig)
-                result = lyndon.free_lie_bracket(
-                    {((m, tau_uid),): Fraction(1)}, {((j_act, dec.uid),): Fraction(1)}
-                )
+                if m == j_act:
+                    other = (s, self.group.multiply(tau, self.group.invert(sig)).uid)
+                else:
+                    other = (j_act, self.group.multiply(tau, sig).uid)
+                result = lyndon.free_lie_bracket({w: 1}, {(other,): 1})
             else:
                 result = {}
         else:
@@ -172,8 +173,8 @@ class LieContext:
             du = self._act_letter_word(s, letter, u)
             dv = self._act_letter_word(s, letter, v)
             result = add_into(
-                lyndon.free_lie_bracket(du, {v: Fraction(1)}),
-                lyndon.free_lie_bracket({u: Fraction(1)}, dv),
+                lyndon.free_lie_bracket(du, {v: 1}),
+                lyndon.free_lie_bracket({u: 1}, dv),
             )
         self._deriv_cache[key] = result
         return result
@@ -187,11 +188,12 @@ class LieContext:
         perm = tuple(perm)
         if sorted(perm) != list(range(1, self.n + 1)):
             raise ValueError("not a bijection of 1..n")
-        out = self.zero()
+        out: Blocks = {}
         for i, d in x.blocks.items():
             for w, c in d.items():
-                out = out + self._map_word(perm, i, w).scale(c)
-        return out
+                for block, terms in self._map_word(perm, i, w).blocks.items():
+                    _add_block(out, block, terms, c)
+        return LieElement(self, out)
 
     def _map_word(self, perm: Tuple[int, ...], i: int, w: Word) -> "LieElement":
         if len(w) == 1:
@@ -201,7 +203,7 @@ class LieContext:
         return self.bracket(self._map_word(perm, i, u), self._map_word(perm, i, v))
 
 
-def _add_block(out: Blocks, block: int, terms: Dict[Word, Fraction], coef: Fraction) -> None:
+def _add_block(out: Blocks, block: int, terms: Dict[Word, Coef], coef: Coef) -> None:
     if not coef:
         return
     dst = add_into(out.setdefault(block, {}), terms, coef)
@@ -211,34 +213,31 @@ def _add_block(out: Blocks, block: int, terms: Dict[Word, Fraction], coef: Fract
 
 @dataclass(frozen=True, eq=False)
 class LieElement:
-    """Rational combination of Lyndon-basis words, stored by top index."""
+    """Exact combination of Lyndon-basis words, stored by top index."""
 
     ctx: LieContext
     blocks: Blocks
 
     def __post_init__(self):
-        pruned = {
-            i: {w: c for w, c in d.items() if c} for i, d in self.blocks.items()
-        }
-        object.__setattr__(
-            self, "blocks", {i: d for i, d in pruned.items() if d}
-        )
+        pruned = {i: {w: c for w, c in d.items() if c} for i, d in self.blocks.items()}
+        object.__setattr__(self, "blocks", {i: d for i, d in pruned.items() if d})
 
     def __add__(self, other: "LieElement") -> "LieElement":
         self.ctx._check(other)
         out: Blocks = {i: dict(d) for i, d in self.blocks.items()}
         for i, d in other.blocks.items():
-            _add_block(out, i, d, Fraction(1))
+            _add_block(out, i, d, 1)
         return LieElement(self.ctx, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "LieElement":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "LieElement":
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
             return LieElement(self.ctx, {})
         return LieElement(
@@ -253,16 +252,13 @@ class LieElement:
         return not self.blocks
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieElement)
-            and self.ctx is other.ctx
-            and self.blocks == other.blocks
-        )
+        same_ctx = isinstance(other, LieElement) and self.ctx is other.ctx
+        return same_ctx and self.blocks == other.blocks
 
     def __hash__(self):
         raise TypeError("LieElement is not hashable")
 
-    def terms(self) -> List[Tuple[int, Word, Fraction]]:
+    def terms(self) -> List[Tuple[int, Word, Coef]]:
         """(top index, word, coefficient), sorted by (top, length, word)."""
         out = []
         for i in sorted(self.blocks):
@@ -310,7 +306,7 @@ def pure_braid_relations(
                 for tau in decorations:
                     yield (
                         f"disjoint[{i},{j};{s},{t};{sigma};{tau}]",
-                        [(Fraction(1), (i, j, sigma), (s, t, tau))],
+                        [(1, (i, j, sigma), (s, t, tau))],
                     )
     for i in range(3, n + 1):
         for s in range(2, i):
@@ -321,15 +317,15 @@ def pure_braid_relations(
                         yield (
                             f"triangle-b[{j}<{s}<{i};{sigma};{tau}]",
                             [
-                                (Fraction(1), (i, j, tau), (i, s, tsi)),
-                                (Fraction(1), (i, j, tau), (s, j, sigma)),
+                                (1, (i, j, tau), (i, s, tsi)),
+                                (1, (i, j, tau), (s, j, sigma)),
                             ],
                         )
                         yield (
                             f"triangle-c[{j}<{s}<{i};{sigma};{tau}]",
                             [
-                                (Fraction(1), (s, j, sigma), (i, j, tau)),
-                                (Fraction(1), (s, j, sigma), (i, s, tsi)),
+                                (1, (s, j, sigma), (i, j, tau)),
+                                (1, (s, j, sigma), (i, s, tsi)),
                             ],
                         )
 

@@ -26,17 +26,16 @@ basis labels and lowers k by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import lie as lie_mod
 from .groups import GroupContext, GroupElement
-from .sparse import Combination, add_into
+from .sparse import Coef, Combination, add_into
 
 Primitive = Tuple[int, tuple]  # (block, Lyndon word of block-local letters)
 Monomial = Tuple[Primitive, ...]  # sorted by _prim_key
-Terms = Dict[Monomial, Fraction]
+Terms = Dict[Monomial, Coef]
 
 
 def _prim_key(p: Primitive):
@@ -102,7 +101,7 @@ class PoissonContext:
     # -- constructors ------------------------------------------------------
 
     def one(self) -> "PoissonElement":
-        return PoissonElement(self, {(): Fraction(1)})
+        return PoissonElement(self, {(): 1})
 
     def zero(self) -> "PoissonElement":
         return PoissonElement(self, {})
@@ -110,7 +109,7 @@ class PoissonContext:
     def generator(self, i: int, j: int, sigma: GroupElement) -> "PoissonElement":
         i, j, sigma = self.lie.normalize_index(i, j, sigma)
         prim: Primitive = (i, ((j, sigma.uid),))
-        return PoissonElement(self, {(prim,): Fraction(1)})
+        return PoissonElement(self, {(prim,): 1})
 
     def from_lie(self, x: lie_mod.LieElement) -> "PoissonElement":
         """A Lie normal form as a combination of primitive monomials."""
@@ -174,51 +173,36 @@ class PoissonContext:
         out: Terms = {}
         for mu, cu in x.terms.items():
             for mv, cv in y.terms.items():
-                add_into(out, self._bracket_monomials(mu, mv).terms, cu * cv)
+                add_into(out, self._bracket_monomials(mu, mv), cu * cv)
         return PoissonElement(self, out)
 
-    def _bracket_monomials(self, left: Monomial, right: Monomial) -> "PoissonElement":
-        if not left or not right:
-            return self.zero()
-        shift = self.grading.shift
-        if len(left) > 1:
-            head, rest = left[0], left[1:]
-            deg_head = self.primitive_degree_of(head)
-            deg_rest = self.monomial_degree(rest)
-            t1 = self.multiply(
-                PoissonElement(self, {(head,): Fraction(1)}),
-                self._bracket_monomials(rest, right),
-            )
-            t2 = self.multiply(
-                PoissonElement(self, {rest: Fraction(1)}),
-                self._bracket_monomials((head,), right),
-            ).scale(Fraction(-1) ** (deg_head * deg_rest))
-            return t1 + t2
-        if len(right) > 1:
-            head, rest = right[0], right[1:]
-            deg_head = self.primitive_degree_of(head)
-            deg_left = self.monomial_degree(left)
-            t1 = self.multiply(
-                self._bracket_monomials(left, (head,)),
-                PoissonElement(self, {rest: Fraction(1)}),
-            )
-            t2 = self.multiply(
-                PoissonElement(self, {(head,): Fraction(1)}),
-                self._bracket_monomials(left, rest),
-            ).scale(Fraction(-1) ** (deg_head * (deg_left + shift)))
-            return t1 + t2
-        return self._bracket_primitives(left[0], right[0])
-
-    def _bracket_primitives(self, p: Primitive, r: Primitive) -> "PoissonElement":
-        """In the desuspended grading every primitive is even, so the
-        bracket on primitives is the plain Lie bracket of the lie module."""
-        xa = lie_mod.LieElement(self.lie, {p[0]: {p[1]: Fraction(1)}})
-        xb = lie_mod.LieElement(self.lie, {r[0]: {r[1]: Fraction(1)}})
-        return self.from_lie(self.lie.bracket(xa, xb))
+    def _bracket_monomials(self, left: Monomial, right: Monomial) -> Terms:
+        """L[a_0...a_m, b_0...b_l] as the double sum over factor pairs: in the
+        desuspended grading every primitive is even, so term (i, j) is L[a_i, b_j]
+        . (left without a_i) . (right without b_j) times one Koszul sign that
+        brings a_i and b_j to the front, (-1)^(i+j) when primitives are odd."""
+        out: Terms = {}
+        odd = self.grading.odd_primitives
+        pair_bracket = self.lie.pair_bracket
+        for i, (p, wu) in enumerate(left):
+            rest_left = left[:i] + left[i + 1 :]
+            for j, (r, wv) in enumerate(right):
+                rest, sign = self._merge(rest_left, right[:j] + right[j + 1 :])
+                if rest is None:
+                    continue
+                block, words, s0 = pair_bracket(p, wu, r, wv)
+                if odd and (i + j) % 2:
+                    s0 = -s0
+                sign *= s0
+                for word, c in words.items():
+                    mono, s = self._merge(((block, word),), rest)
+                    if mono is not None:
+                        out[mono] = out.get(mono, 0) + sign * s * c
+        return out
 
 
 class PoissonElement(Combination):
-    """Rational combination of sorted primitive monomials; elements over
+    """Exact combination of sorted primitive monomials; elements over
     compatible contexts (same group, n and grading) compare and combine."""
 
     ctx: PoissonContext
@@ -238,7 +222,7 @@ class PoissonElement(Combination):
         degs = {self.ctx.monomial_degree(m) for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Monomial, Coef]]:
         return sorted(
             self.terms.items(),
             key=lambda item: (

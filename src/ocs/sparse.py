@@ -1,5 +1,5 @@
 """Sparse linear combinations: dicts from basis labels to nonzero exact
-coefficients.
+coefficients (ints, or Fractions once a rational scalar comes in).
 
 ``add_into`` is the one in-place accumulation step of the algebra modules.
 ``Combination`` is the frozen (ctx, terms) value type of the enveloping,
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Hashable
+from typing import Dict, Hashable, Union
 
-Terms = Dict[Hashable, Any]  # label -> exact coefficient (Fraction or int)
+Coef = Union[int, Fraction]  # an int unless a rational scalar came in
+Terms = Dict[Hashable, Coef]
 
 
 def add_into(dst: Terms, src: Terms, coef=1) -> Terms:
@@ -60,7 +61,8 @@ class Combination:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         return type(self)(self.ctx, {k: c * v for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:

@@ -1,0 +1,133 @@
+"""Refusals: finite tables that are not groups or are too large, and a
+Poisson grading header that disagrees with explicit flags."""
+
+import json
+import random
+
+import pytest
+
+from ocs import cli
+from ocs.errors import ResourceLimitError
+from ocs.groups import MAX_FINITE_ORDER, FiniteGroup, _is_associative, cyclic_group
+
+GEN = {"gen": {"i": 2, "j": 1, "sigma": "e"}}
+
+
+def run(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _brute_associative(tbl):
+    n = len(tbl)
+    return all(
+        tbl[tbl[a][b]][c] == tbl[a][tbl[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+class TestFiniteTables:
+    def test_non_associative_loop_refused(self):
+        # Z2^3 with two entries swapped in rows 3 and 4: still a table with a
+        # two-sided identity and inverses, but no longer associative
+        table = [[i ^ j for j in range(8)] for i in range(8)]
+        for row in (3, 4):
+            table[row][5], table[row][6] = table[row][6], table[row][5]
+        with pytest.raises(ValueError, match="^table is not associative$"):
+            FiniteGroup([f"x{i}" for i in range(8)], table)
+
+    def test_failure_only_at_the_second_generator_refused(self):
+        # (xy)g = x(yg) holds for g = 1 but not for g = 2; both are needed to
+        # reach every element
+        table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]]
+        with pytest.raises(ValueError, match="^table is not associative$"):
+            FiniteGroup(["e", "a", "b", "c"], table)
+
+    def test_light_test_agrees_with_all_triples(self):
+        # relabeled cyclic and Klein tables, half of them with one entry off
+        # the identity row and column changed
+        rng = random.Random(1)
+        verdicts = set()
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            klein = n == 4 and rng.random() < 0.5
+            base = [[(i ^ j) if klein else (i + j) % n for j in range(n)] for i in range(n)]
+            label = list(range(n))
+            rng.shuffle(label)
+            tbl = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    tbl[label[i]][label[j]] = label[base[i][j]]
+            ident = label[0]
+            if n > 1 and rng.random() < 0.5:
+                i, j = (rng.choice([x for x in range(n) if x != ident]) for _ in range(2))
+                tbl[i][j] = rng.randrange(n)
+            tbl = tuple(tuple(row) for row in tbl)
+            verdict = _brute_associative(tbl)
+            assert _is_associative(tbl, ident) == verdict, tbl
+            verdicts.add((n, verdict))
+        assert {(n, v) for n in range(3, 7) for v in (True, False)} <= verdicts
+
+    def test_slowly_growing_generating_set_refused_early(self):
+        # x.x = e and x.y = x otherwise: identity and inverses, not associative,
+        # and each greedy generator reaches one new element, so an unbounded
+        # greedy set would cost about n^3/3 set operations at n = 512
+        n = MAX_FINITE_ORDER
+        lookups = []
+
+        class Rows(tuple):
+            def __getitem__(self, i):
+                lookups.append(i)
+                return tuple.__getitem__(self, i)
+
+        table = Rows(
+            tuple(y if x == 0 else 0 if y == x else x for y in range(n))
+            for x in range(n)
+        )
+        assert not _is_associative(table, 0)
+        assert len(lookups) < n * n.bit_length()
+        with pytest.raises(ValueError, match="^table is not associative$"):
+            FiniteGroup([f"x{i}" for i in range(n)], [list(row) for row in table])
+
+    def test_groups_pass(self):
+        assert _is_associative(cyclic_group(12).table, 0)
+        table = [[i ^ j for j in range(16)] for i in range(16)]
+        assert FiniteGroup([f"x{i}" for i in range(16)], table).order == 16
+
+    def test_order_bound(self):
+        assert cyclic_group(MAX_FINITE_ORDER).order == MAX_FINITE_ORDER
+        with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            cyclic_group(MAX_FINITE_ORDER + 1)
+
+    def test_cli_refuses_an_oversized_spec_with_exit_3(self, capsys, tmp_path):
+        m = MAX_FINITE_ORDER + 1
+        spec = {
+            "kind": "finite",
+            "elements": [f"x{i}" for i in range(m)],
+            "table": [[(i + j) % m for j in range(m)] for i in range(m)],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["cohom", "poincare", "--group", str(path), "--n", "2"])
+        assert code == 3 and out == ""
+        assert "resource guard" in err
+
+
+class TestPoissonGradingConflict:
+    def _bracket(self, capsys, flags, header):
+        doc = {"grading": header, "expr": GEN}
+        argv = ["poisson", "bracket", "--n", "3", "--format", "json", "--expr", json.dumps(doc)]
+        return run(capsys, argv + flags)
+
+    @pytest.mark.parametrize(
+        "flags", [["--k", "3", "--q", "2"], ["--k", "3"], ["--q", "2"], ["--k", "2", "--q", "2"]]
+    )
+    def test_disagreeing_flags_refused(self, capsys, flags):
+        code, out, err = self._bracket(capsys, flags, {"k": 2, "q": 1})
+        assert code == 2 and out == ""
+        assert "conflicts with the grading header" in err
+
+    def test_agreeing_flags_accepted(self, capsys):
+        code, out, _ = self._bracket(capsys, ["--k", "2", "--q", "1"], {"k": 2, "q": 1})
+        assert code == 0
+        assert json.loads(out)[0]["degree"] == 1
