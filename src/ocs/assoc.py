@@ -26,7 +26,6 @@ acts by relabeling strands; both are degree-preserving automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import lyndon
@@ -293,6 +292,8 @@ def hilbert_coefficients(
 ) -> List[int]:
     """Coefficients 0..max_deg of prod_{i=2..n} 1/(1 - (i-1)|G| t), which
     count canonical words by length."""
+    if max_deg < 0:
+        raise ValueError("degree must be >= 0")
     if group_order is None:
         if not ctx.group.is_finite:
             raise ValueError(
@@ -336,18 +337,18 @@ def enumerate_canonical_words(ctx: AssocContext, deg: int) -> Iterable[Word]:
     yield from rec((), deg)
 
 
-def relation_tensors(ctx: AssocContext) -> List[Dict[Word, Fraction]]:
+def relation_tensors(ctx: AssocContext) -> List[Dict[Word, int]]:
     """Quadratic relations of the algebra as elements of the free
     associative algebra on all generators (for the rank oracle)."""
     if not ctx.group.is_finite:
         raise ValueError("relation sweep needs a finite group")
     elements = ctx.group.elements()
-    rows: List[Dict[Word, Fraction]] = []
+    rows: List[Dict[Word, int]] = []
 
-    def commutator(x: Letter, y: Letter) -> Dict[Word, Fraction]:
-        return {(x, y): Fraction(1), (y, x): Fraction(-1)}
+    def commutator(x: Letter, y: Letter) -> Dict[Word, int]:
+        return {(x, y): 1, (y, x): -1}
 
-    def add(row: Dict[Word, Fraction]) -> None:
+    def add(row: Dict[Word, int]) -> None:
         row = {w: c for w, c in row.items() if c}
         if row:
             rows.append(row)
@@ -363,11 +364,11 @@ def relation_tensors(ctx: AssocContext) -> List[Dict[Word, Fraction]]:
                         x = ctx.letter(i, j, gamma)
                         y = ctx.letter(j, s, delta)
                         z = ctx.letter(i, s, ctx.group.multiply(gamma, delta))
-                        row: Dict[Word, Fraction] = {}
+                        row: Dict[Word, int] = {}
                         for word, c in commutator(x, y).items():
-                            row[word] = row.get(word, Fraction(0)) + c
+                            row[word] = row.get(word, 0) + c
                         for word, c in commutator(x, z).items():
-                            row[word] = row.get(word, Fraction(0)) + c
+                            row[word] = row.get(word, 0) + c
                         add(row)
     for i in strands:
         for j in range(1, i):

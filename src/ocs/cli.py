@@ -70,6 +70,14 @@ def _format_terms(rows: List[dict]) -> List[str]:
     return [json.dumps(row, sort_keys=True) for row in rows]
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of ``--max-len``/``--max-deg``: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ocs",
@@ -109,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=1)
     p = lie_sub.add_parser("dims", parents=[common])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=nonnegative_int, required=True)
     p.add_argument("--radius", type=int, default=None)
     p = lie_sub.add_parser("bruteforce", parents=[common])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=nonnegative_int, required=True)
 
     p_assoc = sub.add_parser("assoc", help="enveloping / chord-diagram algebra")
     assoc_sub = p_assoc.add_subparsers(dest="subcommand", required=True)
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p = assoc_sub.add_parser("hilbert", parents=[common])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=nonnegative_int, required=True)
     p.add_argument("--radius", type=int, default=None)
 
     p_cohom = sub.add_parser("cohom", help="configuration-space cohomology")
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=nonnegative_int, required=True)
     p.add_argument("--radius", type=int, default=None)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")

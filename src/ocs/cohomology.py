@@ -19,7 +19,6 @@ by the rank oracle below; a mismatch would surface as a dimension drop.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ResourceLimitError
@@ -212,15 +211,15 @@ def bruteforce_cohom_dimension(
             f"wedge basis of size C({n_gens},2) exceeds cap {max_basis}"
         )
 
-    def wedge(x: Factor, y: Factor) -> Dict[Tuple[int, int], Fraction]:
+    def wedge(x: Factor, y: Factor) -> Dict[Tuple[int, int], int]:
         a, b = index[x], index[y]
         if a == b:
             return {}
         if a < b:
-            return {(a, b): Fraction(1)}
-        return {(b, a): Fraction(-1)}
+            return {(a, b): 1}
+        return {(b, a): -1}
 
-    rows: List[Dict[Tuple[int, int], Fraction]] = []
+    rows: List[Dict[Tuple[int, int], int]] = []
     elements = ctx.group.elements()
     for i in range(2, ctx.n + 1):
         for j in range(1, i):
@@ -238,13 +237,13 @@ def bruteforce_cohom_dimension(
                     for nu in elements:
                         dec = ctx.group.multiply(mu, ctx.group.invert(nu))
                         x, y, z = (i, t, mu.uid), (i, j, nu.uid), (j, t, dec.uid)
-                        row: Dict[Tuple[int, int], Fraction] = {}
+                        row: Dict[Tuple[int, int], int] = {}
                         for key, c in wedge(x, y).items():
-                            row[key] = row.get(key, Fraction(0)) + c
+                            row[key] = row.get(key, 0) + c
                         for key, c in wedge(z, y).items():
-                            row[key] = row.get(key, Fraction(0)) - c
+                            row[key] = row.get(key, 0) - c
                         for key, c in wedge(z, x).items():
-                            row[key] = row.get(key, Fraction(0)) + c
+                            row[key] = row.get(key, 0) + c
                         row = {k: c for k, c in row.items() if c}
                         if row:
                             rows.append(row)

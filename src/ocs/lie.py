@@ -431,11 +431,11 @@ def bruteforce_dimension(ctx: LieContext, ell: int, max_basis: int = 200_000) ->
 
     relations = []
     for _, terms in pure_braid_relations(ctx.n, ctx.group.elements(), ctx.group):
-        tensor: Dict[tuple, Fraction] = {}
+        tensor: Dict[tuple, int] = {}
         for coef, ga, gb in terms:
             x, y = letter_of(ga), letter_of(gb)
             for word, sign in (((x, y), 1), ((y, x), -1)):
-                nv = tensor.get(word, Fraction(0)) + coef * sign
+                nv = tensor.get(word, 0) + coef * sign
                 if nv:
                     tensor[word] = nv
                 else:
@@ -449,7 +449,7 @@ def bruteforce_dimension(ctx: LieContext, ell: int, max_basis: int = 200_000) ->
         for rel in relations:
             tensor = {}
             for word, c in rel.items():
-                tensor[(g,) + word] = tensor.get((g,) + word, Fraction(0)) + c
-                tensor[word + (g,)] = tensor.get(word + (g,), Fraction(0)) - c
+                tensor[(g,) + word] = tensor.get((g,) + word, 0) + c
+                tensor[word + (g,)] = tensor.get(word + (g,), 0) - c
             rows.append({w: c for w, c in tensor.items() if c})
     return free_dim - rank_of_rows(rows)
