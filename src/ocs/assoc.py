@@ -81,11 +81,10 @@ class AssocContext:
         stack = [(w, c) for w, c in terms.items() if c]
         while stack:
             word, coef = stack.pop()
-            pos = next(
-                (p for p in range(len(word) - 1) if word[p][0] > word[p + 1][0]),
-                None,
-            )
-            if pos is None:
+            for pos in range(len(word) - 1):
+                if word[pos][0] > word[pos + 1][0]:
+                    break
+            else:
                 out[word] = out.get(word, 0) + coef
                 continue
             x, y = word[pos], word[pos + 1]

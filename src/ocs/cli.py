@@ -71,7 +71,8 @@ def _format_terms(rows: List[dict]) -> List[str]:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of ``--max-len``/``--max-deg``: an int >= 0."""
+    """argparse type of the size flags (``--max-len``, ``--max-deg``,
+    ``--max-basis``, ``--samples``): an int >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "table"), default="table")
     common.add_argument(
         "--max-basis",
-        type=int,
+        type=nonnegative_int,
         default=200_000,
         help="cap on intermediate basis sizes (exit 3 when exceeded)",
     )
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--radius", type=int, default=1)
-    p_verify.add_argument("--samples", type=int, default=40)
+    p_verify.add_argument("--samples", type=nonnegative_int, default=40)
     return parser
 
 

@@ -20,12 +20,19 @@ Dehn-reduced words are not unique normal forms, so element identity goes
 through an interning registry: each equivalence class receives a stable
 integer uid (assigned deterministically, in the order classes are first
 seen), used for hashing and ordering by the algebra layers.  Registry
-lookups are cheap: candidate classes are bucketed by the abelianization
-image, and only same-bucket representatives are compared via the word
-problem.
+lookups are cheap: the registry keeps one ``GroupElement`` per class, so a
+lookup returns the stored object instead of building one; candidate classes
+are bucketed by the abelianization image, and only same-bucket
+representatives are compared via the word problem.  ``multiply`` and
+``invert`` memoize their results per group, keyed by uid pair (or uid), so a
+repeated product costs one dict lookup; a miss reduces and interns exactly
+as before, so uid order and representative words do not depend on the memo.
+Elements refer to their group, so a dropped group is freed by the cyclic
+garbage collector rather than at once.
 
-Contexts are mutable only through the interning registry and are not
-synchronized; confine each context to a single thread.
+Contexts are mutable only through the interning registry and the product
+and inverse memo, and are not synchronized; confine each context to a
+single thread.
 """
 
 from __future__ import annotations
@@ -81,7 +88,9 @@ class GroupContext:
 
     def __init__(self) -> None:
         self._uid_by_payload: Dict[Payload, int] = {}
-        self._reps: List[Payload] = []
+        self._elements: List[GroupElement] = []  # one element per uid
+        self._product_memo: Dict[Tuple[int, int], GroupElement] = {}
+        self._inverse_memo: Dict[int, GroupElement] = {}
 
     # -- backend hooks -------------------------------------------------
 
@@ -120,14 +129,14 @@ class GroupContext:
         if uid is None:
             uid = self._find_equal_uid(payload)
             if uid is None:
-                uid = len(self._reps)
-                self._reps.append(payload)
+                uid = len(self._elements)
+                self._elements.append(GroupElement(self, payload, uid))
                 self._register(payload, uid)
             self._uid_by_payload[payload] = uid
-        return GroupElement(self, self._reps[uid], uid)
+        return self._elements[uid]
 
     def element_by_uid(self, uid: int) -> GroupElement:
-        return GroupElement(self, self._reps[uid], uid)
+        return self._elements[uid]
 
     # -- public API ----------------------------------------------------
 
@@ -149,11 +158,20 @@ class GroupContext:
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         self._check(x)
         self._check(y)
-        return self._intern(self._reduce(self._mul_payload(x.payload, y.payload)))
+        key = (x.uid, y.uid)
+        z = self._product_memo.get(key)
+        if z is None:
+            z = self._intern(self._reduce(self._mul_payload(x.payload, y.payload)))
+            self._product_memo[key] = z
+        return z
 
     def invert(self, x: GroupElement) -> GroupElement:
         self._check(x)
-        return self._intern(self._reduce(self._inv_payload(x.payload)))
+        z = self._inverse_memo.get(x.uid)
+        if z is None:
+            z = self._intern(self._reduce(self._inv_payload(x.payload)))
+            self._inverse_memo[x.uid] = z
+        return z
 
     def equals(self, x: GroupElement, y: GroupElement) -> bool:
         self._check(x)
@@ -491,7 +509,7 @@ class SurfaceGroup(GroupContext):
 
     def _find_equal_uid(self, payload):
         for uid in self._buckets.get(self._abelianized(payload), []):
-            if not self._reduce(payload + _inverse_word(self._reps[uid])):
+            if not self._reduce(payload + _inverse_word(self._elements[uid].payload)):
                 return uid
         return None
 
