@@ -57,8 +57,10 @@ Word = Tuple[Letter, ...]
 Blocks = Dict[int, Dict[Word, Coef]]
 
 
-# group -> n -> derivation memo, shared by every q; holding no reference to
-# the group, it dies with it.
+# group -> n -> structure memo, shared by every q; holding no reference to
+# the group, it dies with it.  It maps derivation keys (s, act, w), whose
+# first entry is an int, and permutation-image keys (perm, i, w), whose first
+# entry is a tuple, so the two kinds never collide.
 _STRUCTURES: "weakref.WeakKeyDictionary[GroupContext, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -76,17 +78,19 @@ class LieContext:
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "LieElement":
-        return LieElement(self, {})
+        return LieElement._pruned(self, {})
 
     def generator(self, i: int, j: int, sigma: GroupElement) -> "LieElement":
         """B^sigma_{i,j}; inputs with i < j are normalized via sigma -> sigma^-1."""
         i, j, sigma = self.normalize_index(i, j, sigma)
         word: Word = ((j, sigma.uid),)
-        return LieElement(self, {i: {word: 1}})
+        return LieElement._pruned(self, {i: {word: 1}})
 
     def normalize_index(
         self, i: int, j: int, sigma: GroupElement
     ) -> Tuple[int, int, GroupElement]:
+        if type(i) is not int or type(j) is not int:
+            raise ValueError("strand indices must be ints")
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"strand index out of range for n={self.n}")
         if i == j:
@@ -112,7 +116,7 @@ class LieContext:
                     for wv, cv in dv.items():
                         block, terms, sign = self.pair_bracket(p, wu, r, wv)
                         _add_block(out, block, terms, sign * cu * cv)
-        return LieElement(self, out)
+        return LieElement._pruned(self, out)
 
     def pair_bracket(self, p: int, wu: Word, r: int, wv: Word) -> Tuple[int, Dict[Word, int], int]:
         """[b(wu), b(wv)] = sign * terms in the given block, for Lyndon words wu
@@ -183,17 +187,26 @@ class LieContext:
 
     def act_symmetric(self, perm: Sequence[int], x: "LieElement") -> "LieElement":
         """Generator-wise action of a permutation of 1..n (image form:
-        perm[i-1] = gamma(i)), extended as a Lie homomorphism."""
+        perm[i-1] = gamma(i)), extended as a Lie homomorphism.  The image of
+        each basis word is memoized per (group, n); memoized images are only
+        read, into a fresh result."""
         self._check(x)
         perm = tuple(perm)
+        if not all(type(k) is int for k in perm):
+            raise ValueError("permutation entries must be ints")
         if sorted(perm) != list(range(1, self.n + 1)):
             raise ValueError("not a bijection of 1..n")
+        memo = self._deriv_cache
         out: Blocks = {}
         for i, d in x.blocks.items():
             for w, c in d.items():
-                for block, terms in self._map_word(perm, i, w).blocks.items():
+                key = (perm, i, w)
+                image = memo.get(key)
+                if image is None:
+                    image = memo[key] = self._map_word(perm, i, w).blocks
+                for block, terms in image.items():
                     _add_block(out, block, terms, c)
-        return LieElement(self, out)
+        return LieElement._pruned(self, out)
 
     def _map_word(self, perm: Tuple[int, ...], i: int, w: Word) -> "LieElement":
         if len(w) == 1:
@@ -222,12 +235,22 @@ class LieElement:
         pruned = {i: {w: c for w, c in d.items() if c} for i, d in self.blocks.items()}
         object.__setattr__(self, "blocks", {i: d for i, d in pruned.items() if d})
 
+    @classmethod
+    def _pruned(cls, ctx: LieContext, blocks: Blocks) -> "LieElement":
+        """Wrap, without copying, a fresh blocks dict that has no zero
+        coefficient and no empty block; the public constructor prunes."""
+        x = object.__new__(cls)
+        attrs = x.__dict__  # frozen: fill the fields directly
+        attrs["ctx"] = ctx
+        attrs["blocks"] = blocks
+        return x
+
     def __add__(self, other: "LieElement") -> "LieElement":
         self.ctx._check(other)
         out: Blocks = {i: dict(d) for i, d in self.blocks.items()}
         for i, d in other.blocks.items():
             _add_block(out, i, d, 1)
-        return LieElement(self.ctx, out)
+        return LieElement._pruned(self.ctx, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + other.scale(-1)
@@ -239,8 +262,8 @@ class LieElement:
         if not isinstance(c, int):
             c = Fraction(c)
         if not c:
-            return LieElement(self.ctx, {})
-        return LieElement(
+            return LieElement._pruned(self.ctx, {})
+        return LieElement._pruned(
             self.ctx,
             {i: {w: c * v for w, v in d.items()} for i, d in self.blocks.items()},
         )

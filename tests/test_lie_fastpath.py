@@ -1,0 +1,181 @@
+"""Lie elements built without re-pruning, and the memo of permutation images
+kept in the per-(group, n) structure."""
+
+import gc
+import itertools
+import random
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from ocs import lie as lie_mod
+from ocs.groups import FiniteGroup, cyclic_group
+from ocs.lie import LieContext, LieElement
+from ocs.verify import VerifyConfig, random_lie_element, run_suite
+
+
+def s3_group():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
+
+
+CASES = [(lambda: cyclic_group(2), 4), (s3_group, 3)]
+IDS = ["C2-n4", "S3-n3"]
+
+
+def _samples(ctx, seed, count=8):
+    rng = random.Random(seed)
+    gens = [
+        ctx.generator(i, j, sigma)
+        for i in range(1, ctx.n + 1)
+        for j in range(1, ctx.n + 1)
+        if i != j
+        for sigma in ctx.group.elements()
+    ]
+    randoms = [random_lie_element(rng, ctx, ctx.group.elements()) for _ in range(count)]
+    return gens[:: max(1, len(gens) // 6)] + randoms
+
+
+def _assert_canonical(x):
+    assert all(d for d in x.blocks.values())
+    assert all(c for d in x.blocks.values() for c in d.values())
+    assert x.blocks == LieElement(x.ctx, x.blocks).blocks
+
+
+def _snapshot(x):
+    return {i: dict(d) for i, d in x.blocks.items()}
+
+
+@pytest.mark.parametrize("make_group, n", CASES, ids=IDS)
+def test_every_producer_returns_canonical_blocks(make_group, n):
+    group = make_group()
+    ctx = LieContext(group, n)
+    xs = _samples(ctx, 41)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    _assert_canonical(ctx.zero())
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        for z in (
+            x,
+            x + y,
+            x - y,
+            x - x,
+            -x,
+            x.scale(0),
+            x.scale(3),
+            x.scale(Fraction(1, 2)),
+            x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) - x,
+            ctx.bracket(x, y),
+            ctx.bracket(x, x),
+            ctx.act_symmetric(perms[-1], x),
+        ):
+            _assert_canonical(z)
+    assert (xs[0] - xs[0]).blocks == {}
+    assert xs[0].scale(0).blocks == {}
+
+
+def test_public_constructor_still_prunes():
+    ctx = LieContext(cyclic_group(2), 3)
+    x = LieElement(ctx, {2: {((1, 0),): 0}, 3: {((1, 1),): 2, ((2, 0),): 0}})
+    assert x.blocks == {3: {((1, 1),): 2}}
+
+
+@pytest.mark.parametrize("make_group, n", CASES, ids=IDS)
+def test_images_match_a_fresh_group_on_miss_and_hit(make_group, n):
+    group, fresh = make_group(), make_group()
+    assert [group.format_element(e) for e in group.elements()] == [
+        fresh.format_element(e) for e in fresh.elements()
+    ]
+    ctx, ref = LieContext(group, n), LieContext(fresh, n)
+    assert ctx._deriv_cache is not ref._deriv_cache
+    xs = _samples(ctx, 43)
+    for perm in itertools.permutations(range(1, n + 1)):
+        for x in xs:
+            miss = ctx.act_symmetric(perm, x)
+            hit = ctx.act_symmetric(perm, x)
+            # the unmemoized computation, word by word, on the other group
+            want = ref.zero()
+            for i, d in x.blocks.items():
+                for w, c in d.items():
+                    want = want + ref._map_word(perm, i, w).scale(c)
+            assert miss.blocks == hit.blocks == want.blocks
+            assert ref.act_symmetric(perm, LieElement(ref, x.blocks)).blocks == want.blocks
+
+
+def test_mutating_a_result_does_not_change_later_results():
+    group = s3_group()
+    ctx = LieContext(group, 3)
+    x = ctx.bracket(ctx.generator(3, 1, group.elements()[1]), ctx.generator(2, 1, group.elements()[2]))
+    x = x + ctx.generator(3, 2, group.elements()[3])
+    perm = (3, 1, 2)
+    for y in (x, ctx.generator(2, 1, group.elements()[4])):
+        for _ in range(2):  # a memo miss, then a hit
+            first = ctx.act_symmetric(perm, y)
+            want = _snapshot(first)
+            for d in first.blocks.values():
+                for w in d:
+                    d[w] = 99
+            first.blocks[1] = {((1, 0),): 5}
+            assert _snapshot(ctx.act_symmetric(perm, y)) == want
+    product = ctx.bracket(x, ctx.generator(3, 1, group.identity()))
+    want = _snapshot(product)
+    product.blocks.clear()
+    assert _snapshot(ctx.bracket(x, ctx.generator(3, 1, group.identity()))) == want
+
+
+def test_image_memo_is_shared_across_q_and_freed_with_the_group():
+    group = cyclic_group(2)
+    ctx1, ctx3 = LieContext(group, 3, q=1), LieContext(group, 3, q=3)
+    g = group.parse_element("g")
+    x1, x3 = ctx1.generator(2, 1, g), ctx3.generator(2, 1, g)
+    perm = (3, 1, 2)
+    key = (perm, 2, ((1, g.uid),))
+    assert key not in ctx3._deriv_cache
+    image = ctx1.act_symmetric(perm, x1)
+    assert ctx3._deriv_cache[key] == image.blocks
+    assert ctx3.act_symmetric(perm, x3).blocks == image.blocks
+    group_ref = weakref.ref(group)
+    gc.collect()
+    before = len(lie_mod._STRUCTURES)
+    del group, ctx1, ctx3, g, x1, x3, image
+    gc.collect()
+    assert group_ref() is None
+    assert len(lie_mod._STRUCTURES) == before - 1
+
+
+def test_a_wrong_memoized_image_fails_symmetric_action(monkeypatch):
+    cfg = VerifyConfig(group="C2", n=3, seed=1, samples=4)
+    assert run_suite("symmetric-action", cfg)["failures"] == []
+    original = LieContext.__init__
+
+    def init(self, group, n, q=1):
+        original(self, group, n, q)
+        g = group.parse_element("g")
+        # (1 2) sends B^g_{2,1} to B^{g^-1}_{2,1} = B^g_{2,1}; store B^e_{2,1}
+        self._deriv_cache[((2, 1, 3), 2, ((1, g.uid),))] = {2: {((1, group.identity().uid),): 1}}
+
+    monkeypatch.setattr(LieContext, "__init__", init)
+    failures = run_suite("symmetric-action", cfg)["failures"]
+    assert any(f["instance"].startswith("relation-image[(2, 1, 3);") for f in failures)
+
+
+class TestIntegerStrands:
+    @pytest.mark.parametrize("perm", [(1.0, 2, 3), (True, 2, 3), (1, 2, 3.0)])
+    def test_act_symmetric_rejects_non_int_entries(self, perm):
+        C2 = cyclic_group(2)
+        ctx = LieContext(C2, 3)
+        x = ctx.generator(3, 1, C2.identity())
+        assert ctx.act_symmetric((1, 2, 3), x) == x  # the memo now holds (1, 2, 3)
+        with pytest.raises(ValueError, match="ints"):
+            ctx.act_symmetric(perm, x)
+
+    @pytest.mark.parametrize("i, j", [(3.0, 1), (3, True), (True, 2), (2, 1.0)])
+    def test_generator_rejects_non_int_indices(self, i, j):
+        C2 = cyclic_group(2)
+        ctx = LieContext(C2, 3)
+        with pytest.raises(ValueError, match="ints"):
+            ctx.generator(i, j, C2.identity())
+        with pytest.raises(ValueError, match="ints"):
+            ctx.normalize_index(i, j, C2.identity())
