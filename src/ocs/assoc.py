@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import lyndon
 from .errors import ResourceLimitError
-from .groups import GroupContext, GroupElement
+from .groups import GroupContext, GroupElement, strand_pair, strand_permutation
 from .lie import LieElement
 from .linalg import rank_of_rows
 from .sparse import Coef, Combination, add_into
@@ -49,13 +49,7 @@ class AssocContext:
         self._embed_cache: Dict[tuple, Terms] = {}
 
     def letter(self, i: int, j: int, gamma: GroupElement) -> Letter:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"strand index out of range for n={self.n}")
-        if i == j:
-            raise ValueError("generator needs two distinct strands")
-        self.group._check(gamma)
-        if i < j:
-            i, j, gamma = j, i, self.group.invert(gamma)
+        i, j, gamma = strand_pair(self.group, self.n, i, j, gamma)
         return (i, j, gamma.uid)
 
     def one(self) -> "AssocElement":
@@ -154,9 +148,7 @@ class AssocContext:
         """Strand relabeling gamma: X^g_{i,j} -> X^g_{gamma(i),gamma(j)},
         renormalized to top > lower and re-straightened."""
         self._check(x)
-        perm = tuple(perm)
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise ValueError("not a bijection of 1..n")
+        perm = strand_permutation(perm, self.n)
         raw: Terms = {}
         for w, c in x.terms.items():
             new = tuple(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ResourceLimitError
-from .groups import GroupContext, GroupElement
+from .groups import GroupContext, GroupElement, check_int_strands
 from .linalg import rank_of_rows
 from .sparse import Coef, Combination, add_into
 
@@ -39,6 +39,7 @@ class CohomContext:
         self.n = n
 
     def factor(self, i: int, j: int, sigma: GroupElement) -> Factor:
+        check_int_strands(i, j)
         if not (1 <= j < i <= self.n):
             raise ValueError(f"need 1 <= j < i <= n, got i={i}, j={j}")
         self.group._check(sigma)

@@ -610,3 +610,39 @@ def load_group(name_or_path: str) -> GroupContext:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in group spec {name_or_path!r}: {exc}") from exc
     return group_from_spec(spec)
+
+
+# ---------------------------------------------------------------------------
+# strand indices, shared by every algebra layer
+
+
+def check_int_strands(*indices) -> None:
+    """Strand indices are ints; bools and floats are refused."""
+    if any(type(k) is not int for k in indices):
+        raise ValueError("strand indices must be ints")
+
+
+def strand_pair(
+    group: GroupContext, n: int, i: int, j: int, sigma: GroupElement
+) -> Tuple[int, int, GroupElement]:
+    """The generator index (i, j, sigma) on n strands with i > j; a pair
+    given with i < j is mirrored, sigma -> sigma^-1."""
+    check_int_strands(i, j)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"strand index out of range for n={n}")
+    if i == j:
+        raise ValueError("generator needs two distinct strands")
+    group._check(sigma)
+    if i < j:
+        return j, i, group.invert(sigma)
+    return i, j, sigma
+
+
+def strand_permutation(perm: Iterable[int], n: int) -> Tuple[int, ...]:
+    """A permutation of 1..n in image form (perm[i-1] = gamma(i)), as a tuple."""
+    perm = tuple(perm)
+    if not all(type(k) is int for k in perm):
+        raise ValueError("permutation entries must be ints")
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError("not a bijection of 1..n")
+    return perm

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lyndon
 from .errors import ResourceLimitError
-from .groups import GroupContext, GroupElement
+from .groups import GroupContext, GroupElement, strand_pair, strand_permutation
 from .linalg import rank_of_rows
 from .sparse import Coef, add_into
 
@@ -82,23 +82,14 @@ class LieContext:
 
     def generator(self, i: int, j: int, sigma: GroupElement) -> "LieElement":
         """B^sigma_{i,j}; inputs with i < j are normalized via sigma -> sigma^-1."""
-        i, j, sigma = self.normalize_index(i, j, sigma)
+        i, j, sigma = strand_pair(self.group, self.n, i, j, sigma)
         word: Word = ((j, sigma.uid),)
         return LieElement._pruned(self, {i: {word: 1}})
 
     def normalize_index(
         self, i: int, j: int, sigma: GroupElement
     ) -> Tuple[int, int, GroupElement]:
-        if type(i) is not int or type(j) is not int:
-            raise ValueError("strand indices must be ints")
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"strand index out of range for n={self.n}")
-        if i == j:
-            raise ValueError("generator needs two distinct strands")
-        self.group._check(sigma)
-        if i < j:
-            return j, i, self.group.invert(sigma)
-        return i, j, sigma
+        return strand_pair(self.group, self.n, i, j, sigma)
 
     def _check(self, x: "LieElement") -> None:
         if not isinstance(x, LieElement) or x.ctx is not self:
@@ -191,11 +182,7 @@ class LieContext:
         each basis word is memoized per (group, n); memoized images are only
         read, into a fresh result."""
         self._check(x)
-        perm = tuple(perm)
-        if not all(type(k) is int for k in perm):
-            raise ValueError("permutation entries must be ints")
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise ValueError("not a bijection of 1..n")
+        perm = strand_permutation(perm, self.n)
         memo = self._deriv_cache
         out: Blocks = {}
         for i, d in x.blocks.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Union
+from typing import Any, Dict, Hashable, Union
 
 Coef = Union[int, Fraction]  # an int unless a rational scalar came in
 Terms = Dict[Hashable, Coef]

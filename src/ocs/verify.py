@@ -2,11 +2,12 @@
 and Poisson axioms, oracle agreements, group laws, determinism-friendly
 reporting.
 
-Each suite returns a report ``{"suite": name, "cases": int, "failures":
-[{"instance", "expected", "got"}, ...]}``.  All sampling is driven by
-``random.Random(f"{seed}:{suite}")`` so reports are byte-identical for a
-fixed seed.  ``run_all`` chains every suite with instance labels prefixed
-by the suite name.
+Each suite records its cases in one ``_Cases`` recorder and returns
+``(cases, failures)``; ``run_suite`` reports it as ``{"suite": name,
+"cases": int, "failures": [{"instance", "expected", "got"}, ...]}``.  All
+sampling is driven by ``random.Random(f"{seed}:{suite}")`` so reports are
+byte-identical for a fixed seed.  ``run_all`` chains every suite with
+instance labels prefixed by the suite name.
 """
 
 from __future__ import annotations
@@ -65,8 +66,42 @@ def _relabel_tree(tree, mapping: Dict[GroupElement, GroupElement]):
     return (tree[0], _relabel_tree(tree[1], mapping), _relabel_tree(tree[2], mapping))
 
 
-def _fail(failures: List[dict], instance: str, expected, got) -> None:
-    failures.append({"instance": instance, "expected": str(expected), "got": str(got)})
+class _Cases:
+    """One suite's case count and failure list.  Each check counts one case;
+    ``instance`` is a ``str.format`` template, formatted with ``args`` only
+    on failure, together with ``str(expected)`` and ``str(got)``."""
+
+    __slots__ = ("count", "failures")
+
+    def __init__(self):
+        self.count = 0
+        self.failures: List[dict] = []
+
+    def check(self, ok: bool, expected, got, instance: str, *args) -> None:
+        self.count += 1
+        if not ok:
+            self.failures.append(
+                {"instance": instance.format(*args), "expected": str(expected), "got": str(got)}
+            )
+
+    def zero(self, value, instance: str, *args) -> None:
+        """The case ``value == 0``; counted inline, as it is the common one."""
+        self.count += 1
+        if not value.is_zero():
+            self.failures.append(
+                {"instance": instance.format(*args), "expected": "0", "got": str(value)}
+            )
+
+    def result(self) -> Tuple[int, List[dict]]:
+        return self.count, self.failures
+
+
+def _raises(exc, fn: Callable[[], object]) -> bool:
+    try:
+        fn()
+    except exc:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +177,14 @@ def random_homogeneous_poisson(
     return out, degree
 
 
+
+
 # ---------------------------------------------------------------------------
 # suites
 
 
 def suite_group_laws(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "group-laws")
     group = cfg.build_group()
     pool = _decorations(cfg, group)
@@ -157,36 +194,27 @@ def suite_group_laws(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     for x in sample:
         for y in sample:
             for z in sample:
-                cases += 1
                 lhs = group.multiply(group.multiply(x, y), z)
                 rhs = group.multiply(x, group.multiply(y, z))
-                if not group.equals(lhs, rhs):
-                    _fail(failures, f"assoc[{x};{y};{z}]", lhs, rhs)
+                rec.check(group.equals(lhs, rhs), lhs, rhs, "assoc[{};{};{}]", x, y, z)
     for x in sample:
-        cases += 3
-        if not group.equals(group.multiply(x, ident), x):
-            _fail(failures, f"identity-right[{x}]", x, group.multiply(x, ident))
-        if not group.equals(group.multiply(ident, x), x):
-            _fail(failures, f"identity-left[{x}]", x, group.multiply(ident, x))
-        if not group.is_identity(group.multiply(x, group.invert(x))):
-            _fail(failures, f"inverse[{x}]", "e", group.multiply(x, group.invert(x)))
+        right, left = group.multiply(x, ident), group.multiply(ident, x)
+        rec.check(group.equals(right, x), x, right, "identity-right[{}]", x)
+        rec.check(group.equals(left, x), x, left, "identity-left[{}]", x)
+        inv = group.multiply(x, group.invert(x))
+        rec.check(group.is_identity(inv), "e", inv, "inverse[{}]", x)
     for x in sample:
-        cases += 1
         again = group.canonicalize(x.payload)
-        if not group.equals(again, x):
-            _fail(failures, f"canonical-idempotent[{x}]", x, again)
+        rec.check(group.equals(again, x), x, again, "canonical-idempotent[{}]", x)
     sizes = [len(group.enumerate_ball(r)) for r in range(3)]
-    cases += 1
-    if not (sizes[0] == 1 and sizes[0] <= sizes[1] <= sizes[2]):
-        _fail(failures, "ball-monotone", "1 <= |B1| <= |B2|", sizes)
+    ok = sizes[0] == 1 and sizes[0] <= sizes[1] <= sizes[2]
+    rec.check(ok, "1 <= |B1| <= |B2|", sizes, "ball-monotone")
 
     # fixed genus-2 word-problem checks, independent of the configured group
     surf = SurfaceGroup(2)
-    cases += 1
-    if not surf.is_trivial_word(surf.relator):
-        _fail(failures, "surface-relator", "e", surf.canonicalize(surf.relator))
+    trivial = surf.is_trivial_word(surf.relator)
+    rec.check(trivial, "e", surf.canonicalize(surf.relator), "surface-relator")
     for trial in range(5):
-        cases += 1
         word: tuple = ()
         for _ in range(rng.randint(1, 4)):
             conj = tuple(
@@ -197,10 +225,8 @@ def suite_group_laws(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
                 -letter for letter in reversed(surf.relator)
             )
             word = word + conj + base + tuple(-letter for letter in reversed(conj))
-        if not surf.is_trivial_word(word):
-            _fail(failures, f"surface-conjugate-product[{trial}]", "e", word)
+        rec.check(surf.is_trivial_word(word), "e", word, "surface-conjugate-product[{}]", trial)
     for trial in range(10):
-        cases += 1
         length = rng.randint(1, 4)
         word = ()
         while len(word) < length:
@@ -208,30 +234,26 @@ def suite_group_laws(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
             if word and word[-1] == -letter:
                 continue
             word = word + (letter,)
-        if surf.is_trivial_word(word):
-            _fail(failures, f"surface-short-nontrivial[{trial}]", "nontrivial", "e")
-    cases += 1
+        rec.check(
+            not surf.is_trivial_word(word), "nontrivial", "e", "surface-short-nontrivial[{}]", trial
+        )
     ball_sizes = [len(surf.enumerate_ball(r)) for r in range(3)]
-    if ball_sizes != [1, 9, 65]:
-        _fail(failures, "surface-ball-sizes", [1, 9, 65], ball_sizes)
-    return cases, failures
+    rec.check(ball_sizes == [1, 9, 65], [1, 9, 65], ball_sizes, "surface-ball-sizes")
+    return rec.result()
 
 
 def suite_lie_relations(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     group = cfg.build_group()
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
     decorations = _decorations(cfg, group)
     for label, terms in lie_mod.pure_braid_relations(cfg.n, decorations, group):
-        cases += 1
-        value = lie_mod.evaluate_relation(ctx, terms)
-        if not value.is_zero():
-            _fail(failures, label, "0", value)
-    return cases, failures
+        rec.zero(lie_mod.evaluate_relation(ctx, terms), "{}", label)
+    return rec.result()
 
 
 def suite_lie_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "lie-axioms")
     group = cfg.build_group()
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
@@ -240,23 +262,17 @@ def suite_lie_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         x = random_lie_element(rng, ctx, decorations)
         y = random_lie_element(rng, ctx, decorations)
         z = random_lie_element(rng, ctx, decorations, max_leaves=1)
-        cases += 4
-        if not ctx.bracket(x, x).is_zero():
-            _fail(failures, f"alternating[{trial}]", "0", ctx.bracket(x, x))
-        anti = ctx.bracket(x, y) + ctx.bracket(y, x)
-        if not anti.is_zero():
-            _fail(failures, f"antisymmetry[{trial}]", "0", anti)
+        rec.zero(ctx.bracket(x, x), "alternating[{}]", trial)
+        rec.zero(ctx.bracket(x, y) + ctx.bracket(y, x), "antisymmetry[{}]", trial)
         jac = (
             ctx.bracket(x, ctx.bracket(y, z))
             + ctx.bracket(y, ctx.bracket(z, x))
             + ctx.bracket(z, ctx.bracket(x, y))
         )
-        if not jac.is_zero():
-            _fail(failures, f"jacobi[{trial}]", "0", jac)
+        rec.zero(jac, "jacobi[{}]", trial)
         lin = ctx.bracket(x + y.scale(2), z) - ctx.bracket(x, z) - ctx.bracket(y, z).scale(2)
-        if not lin.is_zero():
-            _fail(failures, f"bilinear[{trial}]", "0", lin)
-    return cases, failures
+        rec.zero(lin, "bilinear[{}]", trial)
+    return rec.result()
 
 
 _DIMENSION_MODELS = [
@@ -267,28 +283,22 @@ _DIMENSION_MODELS = [
 
 
 def suite_lie_dims(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     for label, make, n, expected in _DIMENSION_MODELS:
         group = make()
         ctx = lie_mod.LieContext(group, n)
         for ell in (1, 2, 3):
-            cases += 1
             counted = lie_mod.graded_dimension(ctx, ell)
             enumerated = lie_mod.graded_dimension_by_enumeration(ctx, ell)
             brute = lie_mod.bruteforce_dimension(ctx, ell, max_basis=cfg.max_basis)
             want = expected[ell - 1]
-            if not (counted == enumerated == brute == want):
-                _fail(
-                    failures,
-                    f"dims[{label};len={ell}]",
-                    want,
-                    (counted, enumerated, brute),
-                )
-    return cases, failures
+            ok = counted == enumerated == brute == want
+            rec.check(ok, want, (counted, enumerated, brute), "dims[{};len={}]", label, ell)
+    return rec.result()
 
 
 def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "symmetric-action")
     group = cfg.build_group()
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
@@ -300,7 +310,6 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     relations = list(lie_mod.pure_braid_relations(cfg.n, decorations, group))
     for perm in perms:
         for label, terms in relations:
-            cases += 1
             mapped = ctx.zero()
             for coef, (i, j, sigma), (s, t, tau) in terms:
                 ga = ctx.generator(i, j, sigma)
@@ -308,35 +317,30 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
                 mapped = mapped + ctx.bracket(
                     ctx.act_symmetric(perm, ga), ctx.act_symmetric(perm, gb)
                 ).scale(coef)
-            if not mapped.is_zero():
-                _fail(failures, f"relation-image[{perm};{label}]", "0", mapped)
+            rec.zero(mapped, "relation-image[{};{}]", perm, label)
     for trial in range(min(cfg.samples, 12)):
         perm = rng.choice(perms)
         other = rng.choice(perms)
         x = random_lie_element(rng, ctx, decorations)
         y = random_lie_element(rng, ctx, decorations)
-        cases += 3
         hom = ctx.act_symmetric(perm, ctx.bracket(x, y)) - ctx.bracket(
             ctx.act_symmetric(perm, x), ctx.act_symmetric(perm, y)
         )
-        if not hom.is_zero():
-            _fail(failures, f"lie-homomorphism[{trial}]", "0", hom)
+        rec.zero(hom, "lie-homomorphism[{}]", trial)
         composed = tuple(perm[other[i - 1] - 1] for i in range(1, cfg.n + 1))
         two_step = ctx.act_symmetric(perm, ctx.act_symmetric(other, x))
         one_step = ctx.act_symmetric(composed, x)
-        if not (two_step - one_step).is_zero():
-            _fail(failures, f"composition[{trial}]", "0", two_step - one_step)
+        rec.zero(two_step - one_step, "composition[{}]", trial)
         ex = actx.embed_lie(x)
         inter = actx.embed_lie(ctx.act_symmetric(perm, x)) - actx.act_tilde(
             perm, trivial_tuple, ex
         )
-        if not inter.is_zero():
-            _fail(failures, f"embed-intertwine[{trial}]", "0", inter)
-    return cases, failures
+        rec.zero(inter, "embed-intertwine[{}]", trial)
+    return rec.result()
 
 
 def suite_assoc(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "assoc")
     group = cfg.build_group()
     actx = assoc_mod.AssocContext(group, cfg.n)
@@ -353,15 +357,10 @@ def suite_assoc(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
 
     for trial in range(min(cfg.samples, 25)):
         a, b, c = random_word(), random_word(), random_word()
-        cases += 2
-        diff = (a * b) * c - a * (b * c)
-        if not diff.is_zero():
-            _fail(failures, f"associativity[{trial}]", "0", diff)
-        prod = a * b
-        if not prod.is_zero():
-            want = {da + db for da in a.degrees() for db in b.degrees()}
-            if not set(prod.degrees()) <= want:
-                _fail(failures, f"degree-additive[{trial}]", sorted(want), prod.degrees())
+        rec.zero((a * b) * c - a * (b * c), "associativity[{}]", trial)
+        degrees = (a * b).degrees()
+        want = {da + db for da in a.degrees() for db in b.degrees()}
+        rec.check(set(degrees) <= want, sorted(want), degrees, "degree-additive[{}]", trial)
     # decorated pure-braid relations hold as commutators
     strands = range(1, cfg.n + 1)
     for i in strands:
@@ -371,58 +370,44 @@ def suite_assoc(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
                     continue
                 for gamma in decorations:
                     for delta in decorations:
-                        cases += 1
                         x = actx.generator(i, j, gamma)
                         y = actx.generator(j, s, delta)
                         z = actx.generator(i, s, group.multiply(gamma, delta))
                         yz = y + z
                         value = x * yz - yz * x
-                        if not value.is_zero():
-                            _fail(
-                                failures,
-                                f"assoc-relation[{i},{j},{s};{gamma};{delta}]",
-                                "0",
-                                value,
-                            )
+                        rec.zero(value, "assoc-relation[{},{},{};{};{}]", i, j, s, gamma, delta)
     for trial in range(min(cfg.samples, 10)):
         x = random_lie_element(rng, lctx, decorations)
         y = random_lie_element(rng, lctx, decorations)
-        cases += 1
         ex, ey = actx.embed_lie(x), actx.embed_lie(y)
         diff = actx.embed_lie(lctx.bracket(x, y)) - (ex * ey - ey * ex)
-        if not diff.is_zero():
-            _fail(failures, f"embed-commutator[{trial}]", "0", diff)
+        rec.zero(diff, "embed-commutator[{}]", trial)
     for trial in range(min(cfg.samples, 10)):
         a, b = random_word(), random_word()
         mu, nu = rng.choice(decorations), rng.choice(decorations)
         slot_a, slot_b = rng.randint(1, cfg.n), rng.randint(1, cfg.n)
-        cases += 2
         auto = actx.conjugate(mu, slot_a, a * b) - actx.conjugate(
             mu, slot_a, a
         ) * actx.conjugate(mu, slot_a, b)
-        if not auto.is_zero():
-            _fail(failures, f"conjugation-automorphism[{trial}]", "0", auto)
+        rec.zero(auto, "conjugation-automorphism[{}]", trial)
         ab = actx.conjugate(mu, slot_a, actx.conjugate(nu, slot_b, a))
         ba = actx.conjugate(nu, slot_b, actx.conjugate(mu, slot_a, a))
-        if slot_a != slot_b and not (ab - ba).is_zero():
-            _fail(failures, f"conjugation-slots-commute[{trial}]", "0", ab - ba)
+        diff = ab - ba
+        ok = slot_a == slot_b or diff.is_zero()
+        rec.check(ok, "0", diff, "conjugation-slots-commute[{}]", trial)
     if group.is_finite:
         series = assoc_mod.hilbert_coefficients(actx, 3)
         for deg in range(3):
-            cases += 1
             count = assoc_mod.count_canonical_words(actx, deg)
-            if count != series[deg]:
-                _fail(failures, f"hilbert-enumeration[deg={deg}]", series[deg], count)
+            rec.check(count == series[deg], series[deg], count, "hilbert-enumeration[deg={}]", deg)
         if group.order * cfg.n <= 8:
-            cases += 1
             brute = assoc_mod.bruteforce_quotient_dimension(actx, 2, max_basis=cfg.max_basis)
-            if brute != series[2]:
-                _fail(failures, "hilbert-bruteforce[deg=2]", series[2], brute)
-    return cases, failures
+            rec.check(brute == series[2], series[2], brute, "hilbert-bruteforce[deg=2]")
+    return rec.result()
 
 
 def suite_cohom(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "cohom")
     group = cfg.build_group()
     cctx = cohom_mod.CohomContext(group, cfg.n)
@@ -437,40 +422,30 @@ def suite_cohom(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         for nu in decorations:
             for i in range(2, cfg.n + 1):
                 for j in range(1, i):
-                    cases += 1
                     sq = cctx.cup(cctx.generator(i, j, mu), cctx.generator(i, j, nu))
-                    if not sq.is_zero():
-                        _fail(failures, f"square-zero[{i},{j};{mu};{nu}]", "0", sq)
+                    rec.zero(sq, "square-zero[{},{};{};{}]", i, j, mu, nu)
     for trial in range(min(cfg.samples, 15)):
         a, b = random_class(), random_class()
-        cases += 2
-        anti = cctx.cup(a, b) + cctx.cup(b, a)
-        if not anti.is_zero():
-            _fail(failures, f"anticommute[{trial}]", "0", anti)
+        rec.zero(cctx.cup(a, b) + cctx.cup(b, a), "anticommute[{}]", trial)
         prod = cctx.cup(a, cctx.cup(b, random_class()))
-        for mono in prod.terms:
-            tops = [f[0] for f in mono]
-            if tops != sorted(set(tops)):
-                _fail(failures, f"admissible[{trial}]", "ascending distinct tops", mono)
-                break
+        bad = next(
+            (m for m in prod.terms if [f[0] for f in m] != sorted({f[0] for f in m})), None
+        )
+        rec.check(bad is None, "ascending distinct tops", bad, "admissible[{}]", trial)
     if group.is_finite:
         poly = cohom_mod.poincare_polynomial(cctx)
         for deg in range(len(poly)):
-            cases += 1
             count = cohom_mod.count_admissible(cctx, deg)
-            if count != poly[deg]:
-                _fail(failures, f"poincare-enumeration[deg={deg}]", poly[deg], count)
+            rec.check(count == poly[deg], poly[deg], count, "poincare-enumeration[deg={}]", deg)
         if group.order * cfg.n <= 8:
-            cases += 1
             brute = cohom_mod.bruteforce_cohom_dimension(cctx, 2, max_basis=cfg.max_basis)
             want = poly[2] if len(poly) > 2 else 0
-            if brute != want:
-                _fail(failures, "poincare-bruteforce[deg=2]", want, brute)
-    return cases, failures
+            rec.check(brute == want, want, brute, "poincare-bruteforce[deg=2]")
+    return rec.result()
 
 
 def suite_poisson_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "poisson-axioms")
     group = cfg.build_group()
     grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
@@ -491,33 +466,20 @@ def suite_poisson_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         pool = {grading.generator_degree: gens}
 
     for label, terms in lie_mod.pure_braid_relations(cfg.n, decorations, group):
-        cases += 1
-        value = pctx.zero()
-        for coef, (i, j, sigma), (s, t, tau) in terms:
-            value = value + pctx.bracket(
-                pctx.generator(i, j, sigma), pctx.generator(s, t, tau)
-            ).scale(coef)
-        if not value.is_zero():
-            _fail(failures, f"poisson-relation[{label}]", "0", value)
+        rec.zero(lie_mod.evaluate_relation(pctx, terms), "poisson-relation[{}]", label)
 
     for trial in range(cfg.samples):
         a, da = random_homogeneous_poisson(rng, pctx, pool)
         b, db = random_homogeneous_poisson(rng, pctx, pool)
         c, dc = random_homogeneous_poisson(rng, pctx, pool)
-        cases += 5
         # antisymmetry with the printed exponent
         exponent = da * db + 1 + shift * (da + db + 1)
         anti = pctx.bracket(a, b) - pctx.bracket(b, a).scale((-1) ** exponent)
-        if not anti.is_zero():
-            _fail(failures, f"antisymmetry[{trial}]", "0", anti)
+        rec.zero(anti, "antisymmetry[{}]", trial)
         # printed exponent agrees with the desuspended convention
-        if (exponent - (1 + (da + shift) * (db + shift))) % 2 != 0:
-            _fail(
-                failures,
-                f"sign-parity[{trial}]",
-                "printed exponent == 1+(|a|+k-1)(|b|+k-1) mod 2",
-                exponent,
-            )
+        ok = (exponent - (1 + (da + shift) * (db + shift))) % 2 == 0
+        rule = "printed exponent == 1+(|a|+k-1)(|b|+k-1) mod 2"
+        rec.check(ok, rule, exponent, "sign-parity[{}]", trial)
         # Jacobi with the printed signs
         alpha = (-1) ** ((da + shift) * (dc + shift))
         beta = (-1) ** ((db + shift) * (da + shift))
@@ -527,24 +489,23 @@ def suite_poisson_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
             + pctx.bracket(b, pctx.bracket(c, a)).scale(beta)
             + pctx.bracket(c, pctx.bracket(a, b)).scale(gamma)
         )
-        if not jac.is_zero():
-            _fail(failures, f"jacobi[{trial}]", "0", jac)
+        rec.zero(jac, "jacobi[{}]", trial)
         # product formula, verbatim
         lhs = pctx.bracket(pctx.multiply(a, b), c)
         rhs = pctx.multiply(a, pctx.bracket(b, c)) + pctx.multiply(
             b, pctx.bracket(a, c)
         ).scale((-1) ** (da * db))
-        if not (lhs - rhs).is_zero():
-            _fail(failures, f"product-formula[{trial}]", "0", lhs - rhs)
+        rec.zero(lhs - rhs, "product-formula[{}]", trial)
         # degree of the operation
         br = pctx.bracket(a, b)
-        if not br.is_zero() and br.degree() != shift + da + db:
-            _fail(failures, f"degree[{trial}]", shift + da + db, br.degree())
-    return cases, failures
+        degree = br.degree()
+        want = shift + da + db
+        rec.check(br.is_zero() or degree == want, want, degree, "degree[{}]", trial)
+    return rec.result()
 
 
 def suite_suspension(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "suspension")
     group = cfg.build_group()
     if cfg.k >= 3:
@@ -564,7 +525,6 @@ def suite_suspension(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         s = rng.randint(2, cfg.n)
         t = rng.randint(1, s - 1)
         sigma, tau = rng.choice(decorations), rng.choice(decorations)
-        cases += 1
         lhs = poisson_mod.suspension(
             pctx.bracket(pctx.generator(i, j, sigma), pctx.generator(s, t, tau))
         )
@@ -572,29 +532,24 @@ def suite_suspension(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
             poisson_mod.suspension(source.generator(i, j, to_other[sigma])),
             poisson_mod.suspension(source.generator(s, t, to_other[tau])),
         )
-        if lhs.terms != rhs.terms:
-            _fail(failures, f"suspension-naturality[{trial}]", lhs, rhs)
-    cases += 2
+        rec.check(lhs.terms == rhs.terms, lhs, rhs, "suspension-naturality[{}]", trial)
     a = pctx.generator(2, 1, decorations[0])
     product = pctx.multiply(a, a)  # primitives are even here, so a*a != 0
-    try:
-        poisson_mod.suspension(product)
-        _fail(failures, "suspension-rejects-products", "ValueError", "accepted")
-    except ValueError:
-        pass
-    try:
+
+    def suspend_k2():
         low = poisson_mod.PoissonContext(
             group, cfg.n, poisson_mod.PoissonGrading(2, grading.q)
         )
         poisson_mod.suspension(low.generator(2, 1, decorations[0]))
-        _fail(failures, "suspension-rejects-k2", "ValueError", "accepted")
-    except ValueError:
-        pass
-    return cases, failures
+
+    rejected = _raises(ValueError, lambda: poisson_mod.suspension(product))
+    rec.check(rejected, "ValueError", "accepted", "suspension-rejects-products")
+    rec.check(_raises(ValueError, suspend_k2), "ValueError", "accepted", "suspension-rejects-k2")
+    return rec.result()
 
 
 def suite_regrading(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
-    cases, failures = 0, []
+    rec = _Cases()
     rng = _rng(cfg, "regrading")
     group = cfg.build_group()
     decorations = _decorations(cfg, group)
@@ -604,40 +559,25 @@ def suite_regrading(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     ctx3 = lie_mod.LieContext(other, cfg.n, q=3)
     for trial in range(min(cfg.samples, 30)):
         tree = random_expression_tree(rng, cfg.n, decorations, rng.randint(1, 3))
-        cases += 2
         x1 = eval_expression_tree(ctx1, tree)
         x3 = eval_expression_tree(ctx3, _relabel_tree(tree, to_other))
-        if x1.blocks != x3.blocks:
-            _fail(failures, f"q-invariance[{trial}]", x1.blocks, x3.blocks)
-        if [3 * d for d in x1.degrees()] != x3.degrees():
-            _fail(
-                failures,
-                f"degree-scaling[{trial}]",
-                [3 * d for d in x1.degrees()],
-                x3.degrees(),
-            )
+        rec.check(x1.blocks == x3.blocks, x1.blocks, x3.blocks, "q-invariance[{}]", trial)
+        scaled, degrees = [3 * d for d in x1.degrees()], x3.degrees()
+        rec.check(scaled == degrees, scaled, degrees, "degree-scaling[{}]", trial)
     grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
     regraded = grading.regraded()
-    cases += 1
-    if grading.generator_degree != regraded.generator_degree:
-        _fail(
-            failures,
-            "regraded-generator-degree",
-            grading.generator_degree,
-            regraded.generator_degree,
-        )
+    before, after = grading.generator_degree, regraded.generator_degree
+    rec.check(before == after, before, after, "regraded-generator-degree")
     if group.is_finite:
         pctx = poisson_mod.PoissonContext(group, cfg.n, grading)
         rctx = poisson_mod.PoissonContext(group, cfg.n, regraded)
         for d in range(1, 3 * grading.generator_degree + 1):
-            cases += 1
-            gen_only, gen_only_re = (
+            ours, theirs = (
                 sum(all(len(w) == 1 for _, w in m) for m in poisson_mod.enumerate_monomials(c, d))
                 for c in (pctx, rctx)
             )
-            if gen_only != gen_only_re:
-                _fail(failures, f"regraded-generator-subalgebra[deg={d}]", gen_only, gen_only_re)
-    return cases, failures
+            rec.check(ours == theirs, ours, theirs, "regraded-generator-subalgebra[deg={}]", d)
+    return rec.result()
 
 
 SUITES: Dict[str, Callable[[VerifyConfig], Tuple[int, List[dict]]]] = {
@@ -671,12 +611,8 @@ def run_all(cfg: VerifyConfig) -> dict:
     for name, fn in SUITES.items():
         cases, fails = fn(cfg)
         total += cases
-        for f in fails:
-            failures.append(
-                {
-                    "instance": f"{name}:{f['instance']}",
-                    "expected": f["expected"],
-                    "got": f["got"],
-                }
-            )
+        failures += [
+            {"instance": f"{name}:{f['instance']}", "expected": f["expected"], "got": f["got"]}
+            for f in fails
+        ]
     return {"suite": "all", "cases": total, "failures": failures}

@@ -1,0 +1,76 @@
+"""Pinned digests of ``verify all`` reports, so that a change to how the
+suites count cases or label failures cannot pass unnoticed.
+
+The passing reports pin every suite's case count.  The forced-failure
+reports make every check that goes through ``is_zero`` or
+``GroupContext.equals`` fail, which pins every instance label and every
+``expected``/``got`` string those checks print.
+"""
+
+import hashlib
+import itertools
+import json
+
+import pytest
+
+from ocs.groups import GroupContext
+from ocs.lie import LieElement
+from ocs.sparse import Combination
+from ocs.verify import VerifyConfig, run_suite
+
+
+@pytest.fixture
+def s3_spec(tmp_path):
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    path = tmp_path / "s3.json"
+    path.write_text(
+        json.dumps(
+            {"kind": "finite", "elements": ["".join(map(str, p)) for p in perms], "table": table}
+        )
+    )
+    return str(path)
+
+
+def report_digest(group: str, n: int, samples: int) -> str:
+    report = run_suite("all", VerifyConfig(group=group, n=n, samples=samples))
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+PASSING = [
+    ("trivial", 2, 2, "815e6cdcd2aefa0d6f080d2b95c9f5bb8157d88c4a78f1713084669adbe72727"),
+    ("C2", 3, 2, "be62ad45d5654bc6be0cde9db2556942d6765524b131588c36d2c56ff0086513"),
+    ("C3", 3, 2, "675312db543aeee0bcead6b40dba275047b3bdd2f5d8a69376cb3e89796ed55b"),
+    ("S3", 3, 2, "b20afa33e8c86c6e2a864a885a69ef92bec89b8a9fdc9b96aefbf795c110d884"),
+    ("lattice", 3, 0, "03ca02cc3c1c75657d841595beb93b9bb2d62d70c85d15d0515bfe00900b71d5"),
+    ("surface:2", 3, 0, "796232d0302afc63a7f1c94a01417f76053755b41f57d570a2bd2c0aca41f1b9"),
+    ("C2", 4, 0, "d893a9fcd7042577e56edf4388cb33b4af3ea8cb8f683fc5abf7cd673144123e"),
+]
+
+
+@pytest.mark.parametrize("group, n, samples, digest", PASSING)
+def test_passing_report_digest(group, n, samples, digest, s3_spec):
+    if group == "S3":
+        group = s3_spec
+    assert report_digest(group, n, samples) == digest
+
+
+FORCED = [
+    ("C2", 3, 2, "0fead5a8cd6548b9fa0208d9f681488e32a2b15969ae4ef11c4db7d1c59143e5"),
+    ("S3", 3, 2, "f014e96dde1d8eb58f692aefdf78168917ed791bc70172c3ce96749d67aaaf8e"),
+    ("surface:2", 3, 2, "734e7c20836d40ab87ffffc27f1e8a568a75a442a699ab7c2bb7e301d449404f"),
+]
+
+
+@pytest.mark.parametrize("group, n, samples, digest", FORCED)
+def test_forced_failure_report_digest(group, n, samples, digest, s3_spec, monkeypatch):
+    def fails(*args):
+        return False
+
+    monkeypatch.setattr(Combination, "is_zero", fails)
+    monkeypatch.setattr(LieElement, "is_zero", fails)
+    monkeypatch.setattr(GroupContext, "equals", fails)
+    if group == "S3":
+        group = s3_spec
+    assert report_digest(group, n, samples) == digest
