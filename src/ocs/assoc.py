@@ -25,14 +25,23 @@ acts by relabeling strands; both are degree-preserving automorphisms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import lyndon
 from .errors import ResourceLimitError
-from .groups import GroupContext, GroupElement, strand_pair, strand_permutation
+from .groups import (
+    GroupContext,
+    GroupElement,
+    check_int_strands,
+    decoration_order,
+    strand_letters,
+    strand_pair,
+    strand_permutation,
+)
 from .lie import LieElement
-from .linalg import rank_of_rows
+from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
 from .sparse import Coef, Combination, add_into
 
 Letter = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
@@ -116,6 +125,7 @@ class AssocContext:
         """Conjugation by mu inserted at the given strand slot (1..n)."""
         self._check(x)
         self.group._check(mu)
+        check_int_strands(slot)
         if not 1 <= slot <= self.n:
             raise ValueError(f"slot {slot} out of range for n={self.n}")
         mu_inv = self.group.invert(mu)
@@ -285,13 +295,7 @@ def hilbert_coefficients(
     count canonical words by length."""
     if max_deg < 0:
         raise ValueError("degree must be >= 0")
-    if group_order is None:
-        if not ctx.group.is_finite:
-            raise ValueError(
-                "Hilbert series needs a finite group; pass an explicit "
-                "truncation order for infinite backends"
-            )
-        group_order = ctx.group.order
+    group_order = decoration_order(ctx.group, group_order, "Hilbert series")
     coeffs = [1] + [0] * max_deg
     for i in range(2, ctx.n + 1):
         ratio = (i - 1) * group_order
@@ -307,14 +311,7 @@ def count_canonical_words(ctx: AssocContext, deg: int) -> int:
 
 
 def enumerate_canonical_words(ctx: AssocContext, deg: int) -> Iterable[Word]:
-    if not ctx.group.is_finite:
-        raise ValueError("enumeration needs a finite group")
-    alphabet = sorted(
-        (i, j, el.uid)
-        for i in range(2, ctx.n + 1)
-        for j in range(1, i)
-        for el in ctx.group.elements()
-    )
+    alphabet = strand_letters(ctx.group, ctx.n)
 
     def rec(prefix: Word, remaining: int):
         if remaining == 0:
@@ -333,49 +330,20 @@ def relation_tensors(ctx: AssocContext) -> List[Dict[Word, int]]:
     associative algebra on all generators (for the rank oracle)."""
     if not ctx.group.is_finite:
         raise ValueError("relation sweep needs a finite group")
-    elements = ctx.group.elements()
+    decorations = list(itertools.product(ctx.group.elements(), repeat=2))
     rows: List[Dict[Word, int]] = []
-
-    def commutator(x: Letter, y: Letter) -> Dict[Word, int]:
-        return {(x, y): 1, (y, x): -1}
-
-    def add(row: Dict[Word, int]) -> None:
-        row = {w: c for w, c in row.items() if c}
-        if row:
-            rows.append(row)
-
-    strands = range(1, ctx.n + 1)
-    for i in strands:
-        for j in strands:
-            for s in strands:
-                if len({i, j, s}) != 3:
-                    continue
-                for gamma in elements:
-                    for delta in elements:
-                        x = ctx.letter(i, j, gamma)
-                        y = ctx.letter(j, s, delta)
-                        z = ctx.letter(i, s, ctx.group.multiply(gamma, delta))
-                        row: Dict[Word, int] = {}
-                        for word, c in commutator(x, y).items():
-                            row[word] = row.get(word, 0) + c
-                        for word, c in commutator(x, z).items():
-                            row[word] = row.get(word, 0) + c
-                        add(row)
-    for i in strands:
-        for j in range(1, i):
-            for s in strands:
-                for t in range(1, s):
-                    if {i, j} & {s, t} or (i, j) >= (s, t):
-                        continue
-                    for gamma in elements:
-                        for delta in elements:
-                            add(
-                                dict(
-                                    commutator(
-                                        ctx.letter(i, j, gamma), ctx.letter(s, t, delta)
-                                    )
-                                )
-                            )
+    for i, j, s in itertools.permutations(range(1, ctx.n + 1), 3):
+        for gamma, delta in decorations:
+            x = ctx.letter(i, j, gamma)
+            y = ctx.letter(j, s, delta)
+            z = ctx.letter(i, s, ctx.group.multiply(gamma, delta))
+            rows.append(commutators([(1, x, y), (1, x, z)]))
+    pairs = [(i, j) for i in range(2, ctx.n + 1) for j in range(1, i)]
+    for (i, j), (s, t) in itertools.combinations(pairs, 2):
+        if not {i, j} & {s, t}:
+            for gamma, delta in decorations:
+                x, y = ctx.letter(i, j, gamma), ctx.letter(s, t, delta)
+                rows.append(commutators([(1, x, y)]))
     return rows
 
 
@@ -385,30 +353,15 @@ def bruteforce_quotient_dimension(
     """Independent oracle: dimension of the degree-deg part of the free
     associative algebra on all generators modulo the two-sided ideal
     generated by the quadratic relations."""
-    if not ctx.group.is_finite:
-        raise ValueError("brute force needs a finite group")
+    letters = strand_letters(ctx.group, ctx.n)
     if deg < 0:
         raise ValueError("degree must be >= 0")
     if deg > 3:
         raise ResourceLimitError("brute-force quotient is guarded to degree <= 3")
-    letters = sorted(
-        (i, j, el.uid)
-        for i in range(2, ctx.n + 1)
-        for j in range(1, i)
-        for el in ctx.group.elements()
-    )
-    if len(letters) ** max(deg, 1) > max_basis:
+    if len(letters) ** deg > max_basis:
         raise ResourceLimitError(
             f"free algebra basis {len(letters)}^{deg} exceeds cap {max_basis}"
         )
-    if deg <= 1:
-        return 1 if deg == 0 else len(letters)
-    relations = relation_tensors(ctx)
-    if deg == 2:
-        return len(letters) ** 2 - rank_of_rows(relations)
-    rows = []
-    for g in letters:
-        for rel in relations:
-            rows.append({(g,) + w: c for w, c in rel.items()})
-            rows.append({w + (g,): c for w, c in rel.items()})
-    return len(letters) ** 3 - rank_of_rows(rows)
+    if deg < 2:
+        return len(letters) ** deg
+    return quotient_dimension(len(letters) ** deg, relation_tensors(ctx), letters, deg)

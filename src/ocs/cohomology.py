@@ -19,11 +19,19 @@ by the rank oracle below; a mismatch would surface as a dimension drop.
 
 from __future__ import annotations
 
+import itertools
+from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ResourceLimitError
-from .groups import GroupContext, GroupElement, check_int_strands
-from .linalg import rank_of_rows
+from .groups import (
+    GroupContext,
+    GroupElement,
+    check_int_strands,
+    decoration_order,
+    strand_letters,
+)
+from .linalg import quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
 from .sparse import Coef, Combination, add_into
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
@@ -145,13 +153,7 @@ def poincare_polynomial(
     ctx: CohomContext, group_order: Optional[int] = None
 ) -> List[int]:
     """Coefficients of prod_{i=2..n} (1 + (i-1)|G| t)."""
-    if group_order is None:
-        if not ctx.group.is_finite:
-            raise ValueError(
-                "Poincare polynomial needs a finite group; pass an explicit "
-                "truncation order for infinite backends"
-            )
-        group_order = ctx.group.order
+    group_order = decoration_order(ctx.group, group_order, "Poincare polynomial")
     coeffs = [1]
     for i in range(2, ctx.n + 1):
         ratio = (i - 1) * group_order
@@ -164,14 +166,8 @@ def poincare_polynomial(
 
 def enumerate_admissible(ctx: CohomContext, deg: int) -> Iterable[Monomial]:
     """All admissible monomials of the given degree (finite groups)."""
-    if not ctx.group.is_finite:
-        raise ValueError("enumeration needs a finite group")
-    classes_by_top = {
-        i: sorted(
-            (i, j, el.uid) for j in range(1, i) for el in ctx.group.elements()
-        )
-        for i in range(2, ctx.n + 1)
-    }
+    letters = strand_letters(ctx.group, ctx.n)
+    classes_by_top = {i: [f for f in letters if f[0] == i] for i in range(2, ctx.n + 1)}
 
     def rec(prefix: Monomial, top: int, remaining: int):
         if remaining == 0:
@@ -193,59 +189,41 @@ def count_admissible(ctx: CohomContext, deg: int) -> int:
 def bruteforce_cohom_dimension(
     ctx: CohomContext, deg: int = 2, max_basis: int = 200_000
 ) -> int:
-    """Independent oracle: exact rank of the degree-2 quotient of the free
-    anticommutative algebra on the degree-1 classes by relations (1)-(2)."""
-    if not ctx.group.is_finite:
-        raise ValueError("brute force needs a finite group")
-    if deg != 2:
+    """Independent oracle: exact rank of the degree-deg quotient (deg <= 2)
+    of the free anticommutative algebra on the degree-1 classes by
+    relations (1)-(2)."""
+    gens = strand_letters(ctx.group, ctx.n)
+    if deg < 0:
+        raise ValueError("degree must be >= 0")
+    if deg > 2:
         raise ResourceLimitError("the rank oracle is implemented for degree 2 only")
-    gens = sorted(
-        (i, j, el.uid)
-        for i in range(2, ctx.n + 1)
-        for j in range(1, i)
-        for el in ctx.group.elements()
-    )
-    index = {g: a for a, g in enumerate(gens)}
     n_gens = len(gens)
-    if n_gens * (n_gens - 1) // 2 > max_basis:
+    if comb(n_gens, deg) > max_basis:
         raise ResourceLimitError(
-            f"wedge basis of size C({n_gens},2) exceeds cap {max_basis}"
+            f"wedge basis of size C({n_gens},{deg}) exceeds cap {max_basis}"
         )
+    if deg < 2:
+        return n_gens ** deg
+    index = {g: a for a, g in enumerate(gens)}
 
-    def wedge(x: Factor, y: Factor) -> Dict[Tuple[int, int], int]:
-        a, b = index[x], index[y]
-        if a == b:
-            return {}
-        if a < b:
-            return {(a, b): 1}
-        return {(b, a): -1}
+    def wedges(pairs) -> Dict[Tuple[int, int], int]:
+        """The row sum of c * (x ^ y) over ``pairs`` of distinct classes, on
+        index pairs (a, b) with a < b; cancelled entries are dropped."""
+        row: Dict[Tuple[int, int], int] = {}
+        for c, x, y in pairs:
+            a, b = index[x], index[y]
+            key, c = ((a, b), c) if a < b else ((b, a), -c)
+            row[key] = row.get(key, 0) + c
+        return {k: c for k, c in row.items() if c}
 
-    rows: List[Dict[Tuple[int, int], int]] = []
+    # relation (1) for mu != nu on one strand pair; the square already vanishes over Q
+    rows = [wedges([(1, x, y)]) for x, y in itertools.permutations(gens, 2) if x[:2] == y[:2]]
     elements = ctx.group.elements()
-    for i in range(2, ctx.n + 1):
-        for j in range(1, i):
-            for mu in elements:
-                for nu in elements:
-                    if mu == nu:
-                        continue  # the square already vanishes over Q
-                    row = wedge((i, j, mu.uid), (i, j, nu.uid))
-                    if row:
-                        rows.append(row)
     for i in range(3, ctx.n + 1):
         for j in range(2, i):
             for t in range(1, j):
-                for mu in elements:
-                    for nu in elements:
-                        dec = ctx.group.multiply(mu, ctx.group.invert(nu))
-                        x, y, z = (i, t, mu.uid), (i, j, nu.uid), (j, t, dec.uid)
-                        row: Dict[Tuple[int, int], int] = {}
-                        for key, c in wedge(x, y).items():
-                            row[key] = row.get(key, 0) + c
-                        for key, c in wedge(z, y).items():
-                            row[key] = row.get(key, 0) - c
-                        for key, c in wedge(z, x).items():
-                            row[key] = row.get(key, 0) + c
-                        row = {k: c for k, c in row.items() if c}
-                        if row:
-                            rows.append(row)
-    return n_gens * (n_gens - 1) // 2 - rank_of_rows(rows)
+                for mu, nu in itertools.product(elements, repeat=2):
+                    dec = ctx.group.multiply(mu, ctx.group.invert(nu))
+                    x, y, z = (i, t, mu.uid), (i, j, nu.uid), (j, t, dec.uid)
+                    rows.append(wedges([(1, x, y), (-1, z, y), (1, z, x)]))
+    return quotient_dimension(comb(n_gens, 2), rows, gens, 2)

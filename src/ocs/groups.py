@@ -613,7 +613,29 @@ def load_group(name_or_path: str) -> GroupContext:
 
 
 # ---------------------------------------------------------------------------
-# strand indices, shared by every algebra layer
+# strand indices and letters, shared by every algebra layer
+
+
+def strand_letters(group: GroupContext, n: int) -> List[Tuple[int, int, int]]:
+    """The sorted letters (i, j, uid), n >= i > j >= 1, over a finite
+    decoration group: the alphabet of the enumerators and rank oracles."""
+    if not group.is_finite:
+        raise ValueError("brute force and enumeration need a finite group")
+    return sorted(
+        (i, j, el.uid) for i in range(2, n + 1) for j in range(1, i) for el in group.elements()
+    )
+
+
+def decoration_order(group: GroupContext, group_order: Optional[int], what: str) -> int:
+    """``group_order`` if given, else the order of the finite ``group``."""
+    if group_order is not None:
+        return group_order
+    if not group.is_finite:
+        raise ValueError(
+            f"{what} needs a finite group; pass an explicit truncation order "
+            "for infinite backends"
+        )
+    return group.order
 
 
 def check_int_strands(*indices) -> None:

@@ -48,8 +48,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lyndon
 from .errors import ResourceLimitError
-from .groups import GroupContext, GroupElement, strand_pair, strand_permutation
-from .linalg import rank_of_rows
+from .groups import (
+    GroupContext,
+    GroupElement,
+    decoration_order,
+    strand_letters,
+    strand_pair,
+    strand_permutation,
+)
+from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
 from .sparse import Coef, add_into
 
 Letter = Tuple[int, int]  # (lower strand j, decoration uid), inside a block
@@ -304,7 +311,7 @@ def pure_braid_relations(
     strands, with decorations drawn from ``decorations``.
 
     Yields (label, [(coef, (i, j, sigma), (s, t, tau)), ...]) where each
-    entry stands for coef * [B^sigma_{i,j}, B^tau_{s,t}].
+    entry stands for coef * [B^sigma_{i,j}, B^tau_{s,t}], with i > j and s > t.
     """
     pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
     for a in range(len(pairs)):
@@ -359,45 +366,25 @@ def graded_dimension(
     number of Lyndon words of length ell over (i-1)*|G| letters."""
     if ell < 1:
         raise ValueError("bracket length must be >= 1")
-    if group_order is None:
-        if not ctx.group.is_finite:
-            raise ValueError(
-                "graded dimension needs a finite group; pass an explicit "
-                "truncation order for infinite backends"
-            )
-        group_order = ctx.group.order
+    group_order = decoration_order(ctx.group, group_order, "graded dimension")
     return sum(
         lyndon.lyndon_count((i - 1) * group_order, ell) for i in range(2, ctx.n + 1)
     )
 
 
-def graded_dimension_by_enumeration(
-    ctx: LieContext, ell: int, group_order: Optional[int] = None
-) -> int:
+def graded_dimension_by_enumeration(ctx: LieContext, ell: int) -> int:
     """Same count by explicit Lyndon enumeration (independent of the
-    necklace formula)."""
-    if group_order is None:
-        if not ctx.group.is_finite:
-            raise ValueError("enumeration needs a finite group")
-        group_order = ctx.group.order
-    total = 0
-    for i in range(2, ctx.n + 1):
-        alphabet = [(j, u) for j in range(1, i) for u in range(group_order)]
-        total += len(lyndon.lyndon_words(alphabet, ell)[ell]) if alphabet else 0
-    return total
+    necklace formula), for a finite decoration group."""
+    return len(block_lyndon_basis(ctx, ell))
 
 
 def block_lyndon_basis(ctx: LieContext, ell: int) -> List[Tuple[int, Word]]:
     """All (top index, Lyndon word) basis labels of bracket length ell,
     for a finite decoration group."""
-    if not ctx.group.is_finite:
-        raise ValueError("basis enumeration needs a finite group")
+    letters = strand_letters(ctx.group, ctx.n)
     out = []
     for i in range(2, ctx.n + 1):
-        alphabet = [
-            (j, el.uid) for j in range(1, i) for el in ctx.group.elements()
-        ]
-        alphabet.sort()
+        alphabet = [(j, uid) for top, j, uid in letters if top == i]
         for w in lyndon.lyndon_words(alphabet, ell)[ell]:
             out.append((i, w))
     return out
@@ -406,60 +393,22 @@ def block_lyndon_basis(ctx: LieContext, ell: int) -> List[Tuple[int, Word]]:
 def bruteforce_dimension(ctx: LieContext, ell: int, max_basis: int = 200_000) -> int:
     """Independent oracle: rank-based dimension of the degree-ell part of
     the free Lie algebra on all generators modulo the Lie ideal generated
-    by relations (a)-(c).
-
-    Works in tensor coordinates over the full alphabet; the degree-ell
-    ideal component is spanned by the relation instances (ell = 2) and
-    their single brackets with generators (ell = 3).
-    """
-    if not ctx.group.is_finite:
-        raise ValueError("brute force needs a finite group")
-    if ell < 1:
-        raise ValueError("bracket length must be >= 1")
+    by relations (a)-(c), in tensor coordinates over the full alphabet."""
+    letters = strand_letters(ctx.group, ctx.n)
+    if ell < 0:
+        raise ValueError("bracket length must be >= 0")
     if ell > 3:
         raise ResourceLimitError("brute-force dimension is guarded to length <= 3")
-    letters = [
-        (i, j, el.uid)
-        for i in range(2, ctx.n + 1)
-        for j in range(1, i)
-        for el in ctx.group.elements()
-    ]
-    letters.sort()
     if len(letters) ** ell > max_basis:
         raise ResourceLimitError(
             f"free algebra basis {len(letters)}^{ell} exceeds cap {max_basis}"
         )
-    free_dim = lyndon.lyndon_count(len(letters), ell)
-    if ell == 1:
-        return free_dim
-
-    def letter_of(triple) -> tuple:
-        i, j, sigma = triple
-        if i < j:
-            i, j, sigma = j, i, ctx.group.invert(sigma)
-        return (i, j, sigma.uid)
-
-    relations = []
-    for _, terms in pure_braid_relations(ctx.n, ctx.group.elements(), ctx.group):
-        tensor: Dict[tuple, int] = {}
-        for coef, ga, gb in terms:
-            x, y = letter_of(ga), letter_of(gb)
-            for word, sign in (((x, y), 1), ((y, x), -1)):
-                nv = tensor.get(word, 0) + coef * sign
-                if nv:
-                    tensor[word] = nv
-                else:
-                    tensor.pop(word, None)
-        if tensor:
-            relations.append(tensor)
-    if ell == 2:
-        return free_dim - rank_of_rows(relations)
-    rows = []
-    for g in letters:
-        for rel in relations:
-            tensor = {}
-            for word, c in rel.items():
-                tensor[(g,) + word] = tensor.get((g,) + word, 0) + c
-                tensor[word + (g,)] = tensor.get(word + (g,), 0) - c
-            rows.append({w: c for w, c in tensor.items() if c})
-    return free_dim - rank_of_rows(rows)
+    if ell < 2:
+        return len(letters) ** ell
+    relations = [
+        commutators((c, (i, j, a.uid), (s, t, b.uid)) for c, (i, j, a), (s, t, b) in terms)
+        for _, terms in pure_braid_relations(ctx.n, ctx.group.elements(), ctx.group)
+    ]
+    return quotient_dimension(
+        lyndon.lyndon_count(len(letters), ell), relations, letters, ell, lie=True
+    )

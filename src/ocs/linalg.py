@@ -6,15 +6,21 @@ row's denominators are cleared first, every stored or reduced row is kept
 primitive (divided by the gcd of its entries), and elimination pivots on
 the least label, so ranks are reproducible run to run.  Scaling a row by a
 nonzero rational does not change the span, so the rank is the rank over Q.
+
+``quotient_dimension`` is the core of the brute-force rank oracles: the
+dimension of a graded piece of a free algebra modulo the ideal generated by
+quadratic relations, in word (tensor) coordinates.  It knows nothing of the
+algebras whose normal forms the oracles check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, Union
+from typing import Dict, Hashable, Iterable, Sequence, Tuple, Union
 
 Row = Dict[Hashable, Union[int, Fraction]]
+WordRow = Dict[tuple, int]
 
 
 def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
@@ -66,3 +72,50 @@ def rank_of_rows(rows: Iterable[Row]) -> int:
                     del work[k]
             work = _primitive(work)
     return len(pivots)
+
+
+def commutators(pairs: Iterable[Tuple[int, Hashable, Hashable]]) -> WordRow:
+    """The row sum of c*(uv - vu) over ``pairs`` of (c, u, v), on the
+    two-letter words (u, v) and (v, u); cancelled words are dropped."""
+    row: WordRow = {}
+    for c, u, v in pairs:
+        for word, d in (((u, v), c), ((v, u), -c)):
+            nv = row.get(word, 0) + d
+            if nv:
+                row[word] = nv
+            else:
+                row.pop(word, None)
+    return row
+
+
+def quotient_dimension(
+    basis_size: int,
+    relations: Sequence[WordRow],
+    letters: Sequence[Hashable],
+    deg: int,
+    lie: bool = False,
+) -> int:
+    """``basis_size`` minus the rank of the degree-``deg`` part (deg >= 2)
+    of the ideal generated by the quadratic ``relations``, rows being dicts
+    over words (tuples of ``letters``).
+
+    Each degree above 2 spreads the previous rows one letter g at a time,
+    g outermost: to [g, r] for a Lie ideal (``lie``), else to g.r and then
+    r.g for a two-sided ideal.
+    """
+    rows = relations
+    for _ in range(deg - 2):
+        rows, prev = [], rows
+        for g in letters:
+            head = (g,)
+            for row in prev:
+                if lie:
+                    tensor: WordRow = {}
+                    for word, c in row.items():
+                        tensor[head + word] = tensor.get(head + word, 0) + c
+                        tensor[word + head] = tensor.get(word + head, 0) - c
+                    rows.append({w: c for w, c in tensor.items() if c})
+                else:
+                    rows.append({head + w: c for w, c in row.items()})
+                    rows.append({w + head: c for w, c in row.items()})
+    return basis_size - rank_of_rows(rows)

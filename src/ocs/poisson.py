@@ -30,7 +30,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import lie as lie_mod
-from .groups import GroupContext, GroupElement
+from .groups import GroupContext, GroupElement, decoration_order
 from .sparse import Coef, Combination, add_into
 
 Primitive = Tuple[int, tuple]  # (block, Lyndon word of block-local letters)
@@ -264,13 +264,7 @@ def basis_dimension(
     basis brackets, square-free in the odd-primitive regime."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if group_order is None:
-        if not ctx.group.is_finite:
-            raise ValueError(
-                "basis counting needs a finite group; pass an explicit "
-                "truncation order for infinite backends"
-            )
-        group_order = ctx.group.order
+    group_order = decoration_order(ctx.group, group_order, "basis counting")
     poly = [0] * (degree + 1)
     poly[0] = 1
     length = 1

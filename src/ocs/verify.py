@@ -308,15 +308,15 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     trivial_tuple = tuple(group.identity() for _ in range(cfg.n))
 
     relations = list(lie_mod.pure_braid_relations(cfg.n, decorations, group))
+    generators = {
+        idx: ctx.generator(*idx) for _, terms in relations for _, *pair in terms for idx in pair
+    }
     for perm in perms:
+        images = {idx: ctx.act_symmetric(perm, g) for idx, g in generators.items()}
         for label, terms in relations:
             mapped = ctx.zero()
-            for coef, (i, j, sigma), (s, t, tau) in terms:
-                ga = ctx.generator(i, j, sigma)
-                gb = ctx.generator(s, t, tau)
-                mapped = mapped + ctx.bracket(
-                    ctx.act_symmetric(perm, ga), ctx.act_symmetric(perm, gb)
-                ).scale(coef)
+            for coef, a, b in terms:
+                mapped = mapped + ctx.bracket(images[a], images[b]).scale(coef)
             rec.zero(mapped, "relation-image[{};{}]", perm, label)
     for trial in range(min(cfg.samples, 12)):
         perm = rng.choice(perms)

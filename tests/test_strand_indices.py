@@ -87,3 +87,11 @@ def test_permutation_actions_refuse_non_bijections(c2, perm):
 
 def test_strand_permutation_returns_a_tuple():
     assert strand_permutation([2, 3, 1], 3) == (2, 3, 1)
+
+
+@pytest.mark.parametrize("slot", [True, 3.0, 1.0])
+def test_conjugation_refuses_non_int_slots(c2, slot):
+    actx = AssocContext(c2, 3)
+    x = actx.generator(3, 1, c2.identity())
+    with pytest.raises(ValueError, match="ints"):
+        actx.conjugate(c2.elements()[1], slot, x)
