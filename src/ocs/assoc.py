@@ -26,7 +26,6 @@ acts by relabeling strands; both are degree-preserving automorphisms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import lyndon
@@ -42,7 +41,7 @@ from .groups import (
 )
 from .lie import LieElement
 from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, Combination, add_into
+from .sparse import Coef, Combination, StrandWordElement, add_into
 
 Letter = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Word = Tuple[Letter, ...]
@@ -55,7 +54,6 @@ class AssocContext:
             raise ValueError("need at least n = 2 strands")
         self.group = group
         self.n = n
-        self._embed_cache: Dict[tuple, Terms] = {}
 
     def letter(self, i: int, j: int, gamma: GroupElement) -> Letter:
         i, j, gamma = strand_pair(self.group, self.n, i, j, gamma)
@@ -71,7 +69,15 @@ class AssocContext:
         return AssocElement(self, {(self.letter(i, j, gamma),): 1})
 
     def word(self, letters: Sequence[Letter]) -> "AssocElement":
-        return self._straighten({tuple(letters): 1})
+        """The product of normalized letters (i, j, uid), n >= i > j >= 1."""
+        letters = tuple(letters)
+        for letter in letters:
+            if type(letter) is not tuple or len(letter) != 3 or {type(k) for k in letter} != {int}:
+                raise ValueError(f"a letter is a tuple (i, j, uid) of ints, got {letter!r}")
+            i, j, uid = letter
+            if not (self.n >= i > j >= 1 and 0 <= uid < len(self.group._elements)):
+                raise ValueError(f"letter {letter!r} needs {self.n} >= i > j >= 1 and a known uid")
+        return self._straighten({letters: 1})
 
     def _check(self, x: "AssocElement") -> None:
         if not isinstance(x, AssocElement) or x.ctx is not self:
@@ -181,7 +187,9 @@ class AssocContext:
     # -- enveloping-algebra structure --------------------------------------
 
     def embed_lie(self, x: LieElement) -> "AssocElement":
-        """Lyndon bracket words expanded through iterated commutators."""
+        """Each Lyndon bracket's tensor expansion, lifted into its block.
+        The letters of one block share their top index, so the expansion is
+        already canonical and needs no straightening."""
         if not isinstance(x, LieElement):
             raise ValueError("assoc context mismatch")
         lctx = x.ctx
@@ -189,99 +197,61 @@ class AssocContext:
             raise ValueError("assoc context mismatch")
         out: Terms = {}
         for i, w, c in x.terms():
-            add_into(out, self._embed_word(i, w), c)
+            expansion = lyndon.bracket_tensor(w)
+            add_into(out, {tuple((i, j, uid) for j, uid in t): k for t, k in expansion.items()}, c)
         return AssocElement(self, out)
 
-    def _embed_word(self, block: int, w) -> Terms:
-        key = (block, w)
-        cached = self._embed_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(w) == 1:
-            j, uid = w[0]
-            result: Terms = {((block, j, uid),): 1}
-        else:
-            u, v = lyndon.standard_factorization(w)
-            eu = AssocElement(self, self._embed_word(block, u))
-            ev = AssocElement(self, self._embed_word(block, v))
-            result = (self.multiply(eu, ev) - self.multiply(ev, eu)).terms
-        self._embed_cache[key] = result
-        return result
 
-
-class AssocElement(Combination):
+class AssocElement(StrandWordElement):
     """Rational combination of canonical words, graded by word length."""
 
     ctx: AssocContext
     terms: Terms
+    symbol = "X"
 
     def __mul__(self, other: "AssocElement") -> "AssocElement":
         return self.ctx.multiply(self, other)
-
-    def sorted_terms(self) -> List[Tuple[Word, Coef]]:
-        """Sorted by (length, block sequence, letters)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (
-                len(item[0]),
-                tuple(l[0] for l in item[0]),
-                item[0],
-            ),
-        )
-
-    def degrees(self) -> List[int]:
-        return sorted({len(w) for w in self.terms})
-
-    def _label_repr(self, w: Word) -> str:
-        g = self.ctx.group
-        letters = (f"X({i},{j}|{g.format_element(g.element_by_uid(uid))})" for i, j, uid in w)
-        return " ".join(letters) or "1"
 
 
 # ---------------------------------------------------------------------------
 # group-ring elements
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaElement:
+class LambdaElement(Combination):
     """Integer combination of decoration n-tuples (the group ring Z[G^n]),
     acting on the algebra by slot-wise conjugation."""
 
     ctx: AssocContext
-    coeffs: Dict[Tuple[GroupElement, ...], int]
+    terms: Dict[Tuple[GroupElement, ...], int]
 
     def __post_init__(self):
-        for tup in self.coeffs:
+        for tup in self.terms:
             if len(tup) != self.ctx.n:
                 raise ValueError("tuple length must equal the strand count")
-        object.__setattr__(
-            self, "coeffs", {t: c for t, c in self.coeffs.items() if c}
-        )
+            for mu in tup:
+                self.ctx.group._check(mu)
+        super().__post_init__()
 
     def __mul__(self, other: "LambdaElement") -> "LambdaElement":
         out: Dict[Tuple[GroupElement, ...], int] = {}
         g = self.ctx.group
-        for ta, ca in self.coeffs.items():
-            for tb, cb in other.coeffs.items():
+        for ta, ca in self.terms.items():
+            for tb, cb in other.terms.items():
                 key = tuple(g.multiply(a, b) for a, b in zip(ta, tb))
                 out[key] = out.get(key, 0) + ca * cb
         return LambdaElement(self.ctx, out)
 
     def act(self, x: AssocElement) -> AssocElement:
         out = self.ctx.zero()
-        for tup, c in self.coeffs.items():
+        for tup, c in self.terms.items():
             out = out + self.ctx.conjugate_tuple(tup, x).scale(c)
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LambdaElement)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
+    def sorted_terms(self) -> List[Tuple[Tuple[GroupElement, ...], int]]:
+        return sorted(self.terms.items(), key=lambda item: [mu.uid for mu in item[0]])
 
-    def __hash__(self):
-        raise TypeError("LambdaElement is not hashable")
+    def _label_repr(self, tup: Tuple[GroupElement, ...]) -> str:
+        return "(" + ",".join(self.ctx.group.format_element(mu) for mu in tup) + ")"
 
 
 # ---------------------------------------------------------------------------

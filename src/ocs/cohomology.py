@@ -32,7 +32,7 @@ from .groups import (
     strand_letters,
 )
 from .linalg import quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, Combination, add_into
+from .sparse import Coef, StrandWordElement, add_into
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Monomial = Tuple[Factor, ...]  # strictly increasing top indices
@@ -116,33 +116,15 @@ class CohomContext:
         return out
 
 
-class CohomElement(Combination):
+class CohomElement(StrandWordElement):
     """Rational combination of admissible monomials, graded by length."""
 
     ctx: CohomContext
     terms: Terms
+    symbol = "A"
 
     def __mul__(self, other: "CohomElement") -> "CohomElement":
         return self.ctx.cup(self, other)
-
-    def sorted_terms(self) -> List[Tuple[Monomial, Coef]]:
-        """Sorted by (degree, top-index sequence, letters)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (
-                len(item[0]),
-                tuple(f[0] for f in item[0]),
-                item[0],
-            ),
-        )
-
-    def degrees(self) -> List[int]:
-        return sorted({len(m) for m in self.terms})
-
-    def _label_repr(self, m: Monomial) -> str:
-        g = self.ctx.group
-        factors = (f"A({i},{j}|{g.format_element(g.element_by_uid(uid))})" for i, j, uid in m)
-        return " ".join(factors) or "1"
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,20 @@ def lie_jsonable(x: LieElement) -> List[dict]:
     ]
 
 
-def assoc_jsonable(x: AssocElement) -> List[dict]:
+def _strand_words_jsonable(x, key: str) -> List[dict]:
+    """Chord or cohomology terms in canonical order, each word under ``key``."""
     group = x.ctx.group
     return [
         {
-            "word": [_triple_jsonable(group, i, j, uid) for i, j, uid in w],
+            key: [_triple_jsonable(group, i, j, uid) for i, j, uid in w],
             "coef": format_coefficient(c),
         }
         for w, c in x.sorted_terms()
     ]
+
+
+def assoc_jsonable(x: AssocElement) -> List[dict]:
+    return _strand_words_jsonable(x, "word")
 
 
 def poisson_jsonable(x: PoissonElement) -> List[dict]:
@@ -184,11 +189,4 @@ def poisson_jsonable(x: PoissonElement) -> List[dict]:
 
 
 def cohom_jsonable(x: CohomElement) -> List[dict]:
-    group = x.ctx.group
-    return [
-        {
-            "monomial": [_triple_jsonable(group, i, j, uid) for i, j, uid in m],
-            "coef": format_coefficient(c),
-        }
-        for m, c in x.sorted_terms()
-    ]
+    return _strand_words_jsonable(x, "monomial")

@@ -553,9 +553,8 @@ class SurfaceGroup(GroupContext):
 # construction helpers
 
 
-def cyclic_group(m: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
-    if names is None:
-        names = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, m)]
+def cyclic_group(m: int) -> FiniteGroup:
+    names = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, m)]
     table = [[(i + j) % m for j in range(m)] for i in range(m)]
     return FiniteGroup(names, table)
 

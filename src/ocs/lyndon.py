@@ -133,12 +133,7 @@ def lyndon_coordinates(tensor: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
             raise ValueError("tensor element is not in the free Lie algebra")
         c = work[w]
         out[w] = out.get(w, Fraction(0)) + c
-        for u, k in bracket_tensor(w).items():
-            nv = work.get(u, Fraction(0)) - c * k
-            if nv:
-                work[u] = nv
-            else:
-                work.pop(u, None)
+        add_into(work, bracket_tensor(w), -c)
     return {w: c for w, c in out.items() if c}
 
 
@@ -208,16 +203,6 @@ def free_lie_bracket_by_tensor(
             for tu, ku in eu.items():
                 for tv, kv in ev.items():
                     k = c * ku * kv
-                    key = tu + tv
-                    nv = tensor.get(key, Fraction(0)) + k
-                    if nv:
-                        tensor[key] = nv
-                    else:
-                        tensor.pop(key, None)
-                    key = tv + tu
-                    nv = tensor.get(key, Fraction(0)) - k
-                    if nv:
-                        tensor[key] = nv
-                    else:
-                        tensor.pop(key, None)
+                    add_into(tensor, {tu + tv: k})
+                    add_into(tensor, {tv + tu: -k})
     return lyndon_coordinates(tensor)

@@ -3,16 +3,18 @@ coefficients (ints, or Fractions once a rational scalar comes in).
 
 ``add_into`` is the one in-place accumulation step of the algebra modules.
 ``Combination`` is the frozen (ctx, terms) value type of the enveloping,
-cohomology and Poisson elements, with their shared linear structure and
-repr; a subclass adds its product, its canonical term order and how one
-label prints.
+cohomology, Poisson and group-ring elements, with their shared linear
+structure and repr; a subclass adds its product, its canonical term order
+and how one label prints.  ``StrandWordElement`` is the subclass whose
+labels are words of strand letters (i, j, uid), shared by the chord and
+cohomology algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Hashable, Union
+from typing import Any, Dict, Hashable, List, Tuple, Union
 
 Coef = Union[int, Fraction]  # an int unless a rational scalar came in
 Terms = Dict[Hashable, Coef]
@@ -81,3 +83,26 @@ class Combination:
     def __repr__(self):
         bits = [f"{c}*{self._label_repr(label)}" for label, c in self.sorted_terms()]
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class StrandWordElement(Combination):
+    """Combination of words of strand letters (i, j, uid), graded by word
+    length; a subclass adds its product and the ``symbol`` that prints
+    each letter."""
+
+    def sorted_terms(self) -> List[Tuple[Tuple, Coef]]:
+        """Sorted by (length, top-index sequence, letters)."""
+        return sorted(
+            self.terms.items(),
+            key=lambda item: (len(item[0]), tuple(l[0] for l in item[0]), item[0]),
+        )
+
+    def degrees(self) -> List[int]:
+        return sorted({len(w) for w in self.terms})
+
+    def _label_repr(self, w: Tuple) -> str:
+        g = self.ctx.group
+        letters = (
+            f"{self.symbol}({i},{j}|{g.format_element(g.element_by_uid(uid))})" for i, j, uid in w
+        )
+        return " ".join(letters) or "1"

@@ -95,3 +95,21 @@ def test_conjugation_refuses_non_int_slots(c2, slot):
     x = actx.generator(3, 1, c2.identity())
     with pytest.raises(ValueError, match="ints"):
         actx.conjugate(c2.elements()[1], slot, x)
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [(2, 3, 0), (5, 1, 0), (3, 0, 0), (3.0, 1, 0), (3, 1.0, 0), (3, 1, True), (3, 1, 7), (3, 1, -1),
+     (3, 1, 1.0), (3, 1), (3, 1, 0, 0), [3, 1, 0]],
+)
+def test_word_refuses_letters_that_are_not_normalized(c2, letter):
+    actx = AssocContext(c2, 3)
+    with pytest.raises(ValueError, match="letter"):
+        actx.word([actx.letter(2, 1, c2.identity()), letter])
+
+
+def test_word_accepts_normalized_letters(c2):
+    actx = AssocContext(c2, 3)
+    g = c2.elements()[1]
+    expected = actx.generator(3, 1, g) * actx.generator(2, 1, c2.identity())
+    assert actx.word([(3, 1, g.uid), (2, 1, 0)]) == expected
