@@ -107,9 +107,3 @@ def test_word_refuses_letters_that_are_not_normalized(c2, letter):
     with pytest.raises(ValueError, match="letter"):
         actx.word([actx.letter(2, 1, c2.identity()), letter])
 
-
-def test_word_accepts_normalized_letters(c2):
-    actx = AssocContext(c2, 3)
-    g = c2.elements()[1]
-    expected = actx.generator(3, 1, g) * actx.generator(2, 1, c2.identity())
-    assert actx.word([(3, 1, g.uid), (2, 1, 0)]) == expected
