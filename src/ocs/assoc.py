@@ -9,14 +9,11 @@ degree 1, with X^gamma_{j,i} denoting X^{gamma^-1}_{i,j}) by
 It is the universal enveloping algebra of the Lie algebra in ``lie``, and
 a Poincare-Birkhoff-Witt basis is given by canonical words: top indices
 nondecreasing left to right, the letters within one block free.
-Multiplication straightens concatenations to this basis by pushing larger
-top indices right; each swap across blocks adds the commutator correction
-dictated by the derivation formulas of the Lie module.
-
-Straightening terminates: a swap preserves the multiset of top indices and
-strictly drops the inversion count, while a correction replaces a lower
-top index by a higher one, which strictly raises the multiset in dominance
-order -- and at fixed word length the multiset is bounded.
+Multiplication straightens concatenations to this basis with
+``sparse.rewrite`` under the one-step rule ``AssocContext.rewrite_pair``,
+which pushes larger top indices right; each swap across blocks adds the
+commutator correction dictated by the derivation formulas of the Lie
+module.
 
 The group ring Z[G^n] acts by slot-wise conjugation (slot i twists the
 decoration to mu*gamma, slot j to gamma*mu^-1), and the symmetric group
@@ -41,7 +38,7 @@ from .groups import (
 )
 from .lie import LieElement
 from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, Combination, StrandWordElement, add_into
+from .sparse import Coef, Combination, Step, StrandWordElement, add_into, rewrite
 
 Letter = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Word = Tuple[Letter, ...]
@@ -77,43 +74,33 @@ class AssocContext:
             i, j, uid = letter
             if not (self.n >= i > j >= 1 and 0 <= uid < len(self.group._elements)):
                 raise ValueError(f"letter {letter!r} needs {self.n} >= i > j >= 1 and a known uid")
-        return self._straighten({letters: 1})
+        return AssocElement(self, rewrite({letters: 1}, self.rewrite_pair))
 
     def _check(self, x: "AssocElement") -> None:
         if not isinstance(x, AssocElement) or x.ctx is not self:
             raise ValueError("assoc context mismatch")
 
-    # -- straightening ----------------------------------------------------
-
-    def _straighten(self, terms: Terms) -> "AssocElement":
-        out: Terms = {}
-        stack = [(w, c) for w, c in terms.items() if c]
-        while stack:
-            word, coef = stack.pop()
-            for pos in range(len(word) - 1):
-                if word[pos][0] > word[pos + 1][0]:
-                    break
-            else:
-                out[word] = out.get(word, 0) + coef
-                continue
-            x, y = word[pos], word[pos + 1]
-            head, tail = word[:pos], word[pos + 2 :]
-            stack.append((head + (y, x) + tail, coef))
-            i, a, delta_uid = x
-            s, b, gamma_uid = y
-            if a == b or a == s:
-                delta = self.group.element_by_uid(delta_uid)
-                gamma = self.group.element_by_uid(gamma_uid)
-                if a == b:
-                    dec = self.group.multiply(delta, self.group.invert(gamma))
-                    p, r = (i, a, delta_uid), (i, s, dec.uid)
-                else:  # a == s
-                    dec = self.group.multiply(delta, gamma)
-                    p, r = (i, a, delta_uid), (i, b, dec.uid)
-                # correction -[p, r] from the commutation relation
-                stack.append((head + (r, p) + tail, coef))
-                stack.append((head + (p, r) + tail, -coef))
-        return AssocElement(self, out)
+    def rewrite_pair(self, x: Letter, y: Letter) -> Optional[Step]:
+        """One straightening step on the adjacent letters x y: None when
+        x[0] <= y[0], else the swap y x plus, when the letters share a strand,
+        the correction -[x, r] from the commutation relation.  It terminates:
+        a swap keeps the multiset of top indices and drops the inversion
+        count, while a correction replaces a lower top index by a higher one,
+        which raises the multiset in dominance order, bounded at fixed length."""
+        i, a, delta_uid = x
+        s, b, gamma_uid = y
+        if i <= s:
+            return None
+        if a != b and a != s:
+            return (((y, x), 1),)
+        group = self.group
+        delta = group.element_by_uid(delta_uid)
+        gamma = group.element_by_uid(gamma_uid)
+        if a == b:
+            r = (i, s, group.multiply(delta, group.invert(gamma)).uid)
+        else:  # a == s
+            r = (i, b, group.multiply(delta, gamma).uid)
+        return (((y, x), 1), ((r, x), 1), ((x, r), -1))
 
     def multiply(self, x: "AssocElement", y: "AssocElement") -> "AssocElement":
         self._check(x)
@@ -123,7 +110,7 @@ class AssocContext:
             for wv, cv in y.terms.items():
                 key = wu + wv
                 raw[key] = raw.get(key, 0) + cu * cv
-        return self._straighten(raw)
+        return AssocElement(self, rewrite(raw, self.rewrite_pair))
 
     # -- group-ring and symmetric-group actions ---------------------------
 
@@ -172,7 +159,7 @@ class AssocContext:
                 for i, j, uid in w
             )
             raw[new] = raw.get(new, 0) + c
-        return self._straighten(raw)
+        return AssocElement(self, rewrite(raw, self.rewrite_pair))
 
     def act_tilde(
         self,

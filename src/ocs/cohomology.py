@@ -6,12 +6,12 @@ sigma in G) subject to
     (2)  A^mu_{i,t} . A^nu_{i,j}
              = A^{mu nu^-1}_{j,t} . (A^nu_{i,j} - A^mu_{i,t})   (t < j < i).
 
-Degree-1 classes anticommute (graded commutativity); relation (2) pushes a
-repeated top index i down to j < i, so rewriting to the admissible basis
--- products with pairwise distinct top indices, sorted ascending --
-terminates.  Additively the ring is a tensor product of n-1 bouquet-of-
-circles factors, the factor for top index i carrying (i-1)|G| classes,
-whence the Poincare polynomial prod_{i=2..n} (1 + (i-1)|G| t).
+Degree-1 classes anticommute (graded commutativity).  The cup product
+rewrites to the admissible basis -- products with pairwise distinct top
+indices, sorted ascending -- by ``sparse.rewrite`` under the one-step rule
+``CohomContext.rewrite_pair``.  Additively the ring is a tensor product of
+n-1 bouquet-of-circles factors, the factor for top index i carrying
+(i-1)|G| classes, whence the Poincare polynomial prod (1 + (i-1)|G| t).
 
 The anticommutativity convention is validated against relations (1)-(2)
 by the rank oracle below; a mismatch would surface as a dimension drop.
@@ -32,7 +32,7 @@ from .groups import (
     strand_letters,
 )
 from .linalg import quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, StrandWordElement, add_into
+from .sparse import Coef, Step, StrandWordElement, add_into, rewrite
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Monomial = Tuple[Factor, ...]  # strictly increasing top indices
@@ -74,46 +74,29 @@ class CohomContext:
         out: Terms = {}
         for mu, cu in x.terms.items():
             for mv, cv in y.terms.items():
-                add_into(out, self._normalize(mu + mv, cu * cv))
+                add_into(out, rewrite({mu + mv: cu * cv}, self.rewrite_pair))
         return CohomElement(self, out)
 
-    def _normalize(self, factors: Monomial, coef: Coef) -> Terms:
-        """Rewrite a raw product of degree-1 classes to admissible form.
-        Monomials that cancel may remain with coefficient zero."""
-        out: Terms = {}
-        stack = [(factors, coef)]
-        while stack:
-            fac, c = stack.pop()
-            if not c:
-                continue
-            pos = next(
-                (p for p in range(len(fac) - 1) if fac[p][0] >= fac[p + 1][0]),
-                None,
-            )
-            if pos is None:
-                out[fac] = out.get(fac, 0) + c
-                continue
-            x, y = fac[pos], fac[pos + 1]
-            head, tail = fac[:pos], fac[pos + 2 :]
-            if x[0] > y[0]:
-                # degree-1 classes anticommute
-                stack.append((head + (y, x) + tail, -c))
-                continue
-            i, a, mu_uid = x
-            _, b, nu_uid = y
-            if a == b:
-                continue  # relation (1): same strand pair annihilates
-            if a > b:
-                stack.append((head + (y, x) + tail, -c))
-                continue
-            # relation (2) with t = a < j = b < i
-            mu = self.group.element_by_uid(mu_uid)
-            nu = self.group.element_by_uid(nu_uid)
-            dec = self.group.multiply(mu, self.group.invert(nu))
-            z = (b, a, dec.uid)
-            stack.append((head + (z, y) + tail, c))
-            stack.append((head + (z, x) + tail, -c))
-        return out
+    def rewrite_pair(self, x: Factor, y: Factor) -> Optional[Step]:
+        """One rewriting step on the adjacent classes x y: None when
+        x[0] < y[0], else the anticommuting swap, nothing for relation (1),
+        or the two terms of relation (2).  It terminates: a swap keeps the
+        multiset of top indices and drops the inversions in (top, lower)
+        order, while relation (2) lowers a repeated top index i to j < i."""
+        i, a, mu_uid = x
+        s, b, nu_uid = y
+        if i < s:
+            return None
+        if i > s or a > b:
+            return (((y, x), -1),)
+        if a == b:
+            return ()
+        # relation (2) with t = a < j = b < i
+        group = self.group
+        mu = group.element_by_uid(mu_uid)
+        nu = group.element_by_uid(nu_uid)
+        z = (b, a, group.multiply(mu, group.invert(nu)).uid)
+        return (((z, y), 1), ((z, x), -1))
 
 
 class CohomElement(StrandWordElement):

@@ -1,7 +1,8 @@
 """Sparse linear combinations: dicts from basis labels to nonzero exact
 coefficients (ints, or Fractions once a rational scalar comes in).
 
-``add_into`` is the one in-place accumulation step of the algebra modules.
+``add_into`` is the one in-place accumulation step of the algebra modules,
+``rewrite`` the one loop that rewrites words under an algebra's ``rewrite_pair``.
 ``Combination`` is the frozen (ctx, terms) value type of the enveloping,
 cohomology, Poisson and group-ring elements, with their shared linear
 structure and repr; a subclass adds its product, its canonical term order
@@ -14,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Hashable, List, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 Coef = Union[int, Fraction]  # an int unless a rational scalar came in
 Terms = Dict[Hashable, Coef]
+Step = Tuple[Tuple[tuple, int], ...]  # (pair of letters, factor) replacements
 
 
 def add_into(dst: Terms, src: Terms, coef=1) -> Terms:
@@ -33,6 +35,31 @@ def add_into(dst: Terms, src: Terms, coef=1) -> Terms:
         else:
             dst.pop(label, None)
     return dst
+
+
+def rewrite(terms: Terms, rule: Callable[[Any, Any], Optional[Step]]) -> Terms:
+    """Words (tuples of letters) rewritten to irreducible form: a word popped
+    from a stack has its leftmost adjacent pair (x, y) with ``rule(x, y)`` not
+    None replaced by each returned ``(pair, factor)``, pushed in that order;
+    a word with no such pair is accumulated.  The rule must terminate.
+    Words that cancel may remain with coefficient zero."""
+    out: Terms = {}
+    stack = list(terms.items())
+    while stack:
+        word, coef = stack.pop()
+        if not coef:
+            continue
+        for pos in range(len(word) - 1):
+            step = rule(word[pos], word[pos + 1])
+            if step is not None:
+                break
+        else:
+            out[word] = out.get(word, 0) + coef
+            continue
+        head, tail = word[:pos], word[pos + 2 :]
+        for pair, factor in step:
+            stack.append((head + pair + tail, coef * factor))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
