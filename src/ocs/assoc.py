@@ -220,6 +220,7 @@ class LambdaElement(Combination):
         super().__post_init__()
 
     def __mul__(self, other: "LambdaElement") -> "LambdaElement":
+        other = self._operand(other)
         out: Dict[Tuple[GroupElement, ...], int] = {}
         g = self.ctx.group
         for ta, ca in self.terms.items():

@@ -304,6 +304,21 @@ class LieElement:
 # relation instances
 
 
+class RelationLabel:
+    """A relation instance's name, formatted only when printed: its
+    ``str()`` and ``repr()`` are ``template.format(*args)``."""
+
+    __slots__ = ("template", "args")
+
+    def __init__(self, template: str, *args):
+        self.template, self.args = template, args
+
+    def __str__(self) -> str:
+        return self.template.format(*self.args)
+
+    __repr__ = __str__
+
+
 def pure_braid_relations(
     n: int, decorations: Sequence[GroupElement], group: GroupContext
 ):
@@ -311,7 +326,8 @@ def pure_braid_relations(
     strands, with decorations drawn from ``decorations``.
 
     Yields (label, [(coef, (i, j, sigma), (s, t, tau)), ...]) where each
-    entry stands for coef * [B^sigma_{i,j}, B^tau_{s,t}], with i > j and s > t.
+    entry stands for coef * [B^sigma_{i,j}, B^tau_{s,t}], with i > j and s > t;
+    the label is a ``RelationLabel``.
     """
     pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
     for a in range(len(pairs)):
@@ -322,7 +338,7 @@ def pure_braid_relations(
             for sigma in decorations:
                 for tau in decorations:
                     yield (
-                        f"disjoint[{i},{j};{s},{t};{sigma};{tau}]",
+                        RelationLabel("disjoint[{},{};{},{};{};{}]", i, j, s, t, sigma, tau),
                         [(1, (i, j, sigma), (s, t, tau))],
                     )
     for i in range(3, n + 1):
@@ -332,14 +348,14 @@ def pure_braid_relations(
                     for tau in decorations:
                         tsi = group.multiply(tau, group.invert(sigma))
                         yield (
-                            f"triangle-b[{j}<{s}<{i};{sigma};{tau}]",
+                            RelationLabel("triangle-b[{}<{}<{};{};{}]", j, s, i, sigma, tau),
                             [
                                 (1, (i, j, tau), (i, s, tsi)),
                                 (1, (i, j, tau), (s, j, sigma)),
                             ],
                         )
                         yield (
-                            f"triangle-c[{j}<{s}<{i};{sigma};{tau}]",
+                            RelationLabel("triangle-c[{}<{}<{};{};{}]", j, s, i, sigma, tau),
                             [
                                 (1, (s, j, sigma), (i, j, tau)),
                                 (1, (s, j, sigma), (i, s, tsi)),

@@ -65,8 +65,8 @@ def rewrite(terms: Terms, rule: Callable[[Any, Any], Optional[Step]]) -> Terms:
 @dataclass(frozen=True, eq=False)
 class Combination:
     """Exact combination of basis labels over a context.  Zero coefficients
-    are pruned on construction; contexts check operands through
-    ``ctx._check``.  A subclass supplies ``sorted_terms()`` (canonical
+    are pruned on construction; ``+`` and ``-`` accept only operands that
+    ``_operand`` accepts.  A subclass supplies ``sorted_terms()`` (canonical
     order) and ``_label_repr(label)`` for the repr."""
 
     ctx: Any
@@ -78,13 +78,18 @@ class Combination:
     def _same_ctx(self, ctx) -> bool:
         return self.ctx is ctx
 
+    def _operand(self, other):
+        """``other`` if it combines with self: of this class, over the same
+        context (``_same_ctx``); a ValueError otherwise."""
+        if isinstance(other, type(self)) and self._same_ctx(other.ctx):
+            return other
+        raise ValueError(f"{type(self).__name__} context mismatch")
+
     def __add__(self, other):
-        self.ctx._check(other)
-        return type(self)(self.ctx, add_into(dict(self.terms), other.terms))
+        return type(self)(self.ctx, add_into(dict(self.terms), self._operand(other).terms))
 
     def __sub__(self, other):
-        self.ctx._check(other)
-        return type(self)(self.ctx, add_into(dict(self.terms), other.terms, -1))
+        return type(self)(self.ctx, add_into(dict(self.terms), self._operand(other).terms, -1))
 
     def __neg__(self):
         return self.scale(-1)

@@ -125,7 +125,7 @@ def test_criterion_5_poisson_axioms():
                 value = value + ctx.bracket(
                     ctx.generator(i, j, s1), ctx.generator(s, t, s2)
                 ).scale(coef)
-            assert value.is_zero(), (k, q, label)
+            assert value.is_zero(), (k, q, str(label))
     print("ACCEPTANCE 5 (Poisson axioms, 200 triples x 3 gradings): PASS")
 
 
@@ -190,7 +190,7 @@ def test_criterion_8_symmetric_compatibility():
                     lctx.act_symmetric(perm, lctx.generator(i, j, s1)),
                     lctx.act_symmetric(perm, lctx.generator(s, t, s2)),
                 ).scale(coef)
-            assert image.is_zero(), (perm, label)
+            assert image.is_zero(), (perm, str(label))
         for other in perms:
             composed = tuple(perm[other[i - 1] - 1] for i in range(1, n + 1))
             for _ in range(3):

@@ -3,6 +3,7 @@ straightened-commutator recursion, the group-ring contract, and the
 sparse core's import boundary."""
 
 import json
+import operator
 import os
 import random
 import subprocess
@@ -90,6 +91,19 @@ def test_group_ring_equality_is_by_context_identity(s3_ring):
     tup = (els[1], els[2], els[0])
     assert LambdaElement(ctx, {tup: 1}) == LambdaElement(ctx, {tup: 1})
     assert LambdaElement(ctx, {tup: 1}) != LambdaElement(twin, {tup: 1})
+
+
+def test_group_ring_adds_and_refuses_foreign_operands(s3_ring):
+    ctx, els = s3_ring
+    tup = (els[1], els[2], els[0])
+    lam = LambdaElement(ctx, {tup: 1})
+    assert lam + lam == lam.scale(2)
+    assert (lam - lam).is_zero()
+    foreign = LambdaElement(AssocContext(ctx.group, 3), {tup: 1})
+    for other in (foreign, ctx.generator(2, 1, els[0])):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="context mismatch"):
+                op(lam, other)
 
 
 def test_group_ring_elements_are_unhashable(s3_ring):

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from ocs import assoc, cohomology, lie
-from ocs.groups import FiniteGroup, cyclic_group
+from ocs.groups import FiniteGroup, GroupElement, cyclic_group
 
 
 def s3_group():
@@ -26,6 +26,15 @@ def test_lie_bruteforce_matches_necklace_count(group, n, dims):
     brute = [lie.bruteforce_dimension(ctx, ell) for ell in (1, 2, 3)]
     assert brute == dims
     assert brute == [lie.graded_dimension(ctx, ell) for ell in (1, 2, 3)]
+
+
+def test_lie_bruteforce_formats_no_relation_labels(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a group element was formatted")
+
+    ctx = lie.LieContext(s3_group(), 3)
+    monkeypatch.setattr(GroupElement, "__str__", refuse)
+    assert lie.bruteforce_dimension(ctx, 2) == 81
 
 
 def test_assoc_bruteforce_over_s3_matches_hilbert():
