@@ -11,7 +11,8 @@ rewrites to the admissible basis -- products with pairwise distinct top
 indices, sorted ascending -- by ``sparse.rewrite`` under the one-step rule
 ``CohomContext.rewrite_pair``.  Additively the ring is a tensor product of
 n-1 bouquet-of-circles factors, the factor for top index i carrying
-(i-1)|G| classes, whence the Poincare polynomial prod (1 + (i-1)|G| t).
+(i-1)|G| classes, whence the Poincare polynomial
+prod_{i=2..n} (1 + (i-1)|G| t).
 
 The anticommutativity convention is validated against relations (1)-(2)
 by the rank oracle below; a mismatch would surface as a dimension drop.
