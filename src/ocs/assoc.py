@@ -183,7 +183,7 @@ class AssocContext:
         if lctx.group is not self.group or lctx.n != self.n:
             raise ValueError("assoc context mismatch")
         out: Terms = {}
-        for i, w, c in x.terms():
+        for (i, w), c in x.sorted_terms():
             expansion = lyndon.bracket_tensor(w)
             add_into(out, {tuple((i, j, uid) for j, uid in t): k for t, k in expansion.items()}, c)
         return AssocElement(self, out)

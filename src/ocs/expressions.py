@@ -71,6 +71,11 @@ def _triple_jsonable(group, i, j, uid):
     return {"i": i, "j": j, "sigma": group.format_element(group.element_by_uid(uid))}
 
 
+def _primitive_jsonable(group, top, word):
+    """A (top index, Lyndon word) label: a Lie term or a Poisson factor."""
+    return {"top": top, "word": [_triple_jsonable(group, top, j, uid) for j, uid in word]}
+
+
 # -- evaluation --------------------------------------------------------------
 
 
@@ -141,12 +146,8 @@ def eval_cohom(node, ctx: CohomContext) -> CohomElement:
 def lie_jsonable(x: LieElement) -> List[dict]:
     group = x.ctx.group
     return [
-        {
-            "top": i,
-            "word": [_triple_jsonable(group, i, j, uid) for j, uid in w],
-            "coef": format_coefficient(c),
-        }
-        for i, w, c in x.terms()
+        {**_primitive_jsonable(group, *label), "coef": format_coefficient(c)}
+        for label, c in x.sorted_terms()
     ]
 
 
@@ -173,15 +174,7 @@ def poisson_jsonable(x: PoissonElement) -> List[dict]:
         out.append(
             {
                 "degree": x.ctx.monomial_degree(mono),
-                "factors": [
-                    {
-                        "top": block,
-                        "word": [
-                            _triple_jsonable(group, block, j, uid) for j, uid in word
-                        ],
-                    }
-                    for block, word in mono
-                ],
+                "factors": [_primitive_jsonable(group, *p) for p in mono],
                 "coef": format_coefficient(c),
             }
         )

@@ -36,14 +36,14 @@ structure constants are integers, so coefficients are ints until a rational
 scalar brings in Fractions.  q only scales the degree 2q * (bracket length).
 
 Letters inside a block are ordered by (lower strand j, decoration uid);
-words are tuples of such letters.
+words are tuples of such letters.  An element is a ``sparse.Combination``
+keyed by (top index i, Lyndon word of block i) -- the same labels as the
+``poisson`` model's primitives; ``blocks`` groups its terms by top index.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lyndon
@@ -57,11 +57,18 @@ from .groups import (
     strand_permutation,
 )
 from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, add_into
+from .sparse import Coef, Combination, add_into
 
 Letter = Tuple[int, int]  # (lower strand j, decoration uid), inside a block
 Word = Tuple[Letter, ...]
-Blocks = Dict[int, Dict[Word, Coef]]
+Label = Tuple[int, Word]  # (top index, Lyndon word of that block)
+Terms = Dict[Label, Coef]
+
+
+def label_key(label: Label) -> Tuple[int, int, Word]:
+    """The canonical order of labels: (top index, length, word)."""
+    top, word = label
+    return (top, len(word), word)
 
 
 # group -> n -> structure memo, shared by every q; holding no reference to
@@ -90,13 +97,7 @@ class LieContext:
     def generator(self, i: int, j: int, sigma: GroupElement) -> "LieElement":
         """B^sigma_{i,j}; inputs with i < j are normalized via sigma -> sigma^-1."""
         i, j, sigma = strand_pair(self.group, self.n, i, j, sigma)
-        word: Word = ((j, sigma.uid),)
-        return LieElement._pruned(self, {i: {word: 1}})
-
-    def normalize_index(
-        self, i: int, j: int, sigma: GroupElement
-    ) -> Tuple[int, int, GroupElement]:
-        return strand_pair(self.group, self.n, i, j, sigma)
+        return LieElement._pruned(self, {(i, ((j, sigma.uid),)): 1})
 
     def _check(self, x: "LieElement") -> None:
         if not isinstance(x, LieElement) or x.ctx is not self:
@@ -107,14 +108,14 @@ class LieContext:
     def bracket(self, x: "LieElement", y: "LieElement") -> "LieElement":
         self._check(x)
         self._check(y)
-        out: Blocks = {}
-        for p, du in x.blocks.items():
-            for r, dv in y.blocks.items():
-                for wu, cu in du.items():
-                    for wv, cv in dv.items():
-                        block, terms, sign = self.pair_bracket(p, wu, r, wv)
-                        _add_block(out, block, terms, sign * cu * cv)
-        return LieElement._pruned(self, out)
+        out: Terms = {}
+        for (p, wu), cu in x.terms.items():
+            for (r, wv), cv in y.terms.items():
+                block, words, sign = self.pair_bracket(p, wu, r, wv)
+                coef = sign * cu * cv
+                for w, c in words.items():
+                    out[block, w] = out.get((block, w), 0) + coef * c
+        return LieElement(self, out)
 
     def pair_bracket(self, p: int, wu: Word, r: int, wv: Word) -> Tuple[int, Dict[Word, int], int]:
         """[b(wu), b(wv)] = sign * terms in the given block, for Lyndon words wu
@@ -191,15 +192,13 @@ class LieContext:
         self._check(x)
         perm = strand_permutation(perm, self.n)
         memo = self._deriv_cache
-        out: Blocks = {}
-        for i, d in x.blocks.items():
-            for w, c in d.items():
-                key = (perm, i, w)
-                image = memo.get(key)
-                if image is None:
-                    image = memo[key] = self._map_word(perm, i, w).blocks
-                for block, terms in image.items():
-                    _add_block(out, block, terms, c)
+        out: Terms = {}
+        for (i, w), c in x.terms.items():
+            key = (perm, i, w)
+            image = memo.get(key)
+            if image is None:
+                image = memo[key] = self._map_word(perm, i, w).terms
+            add_into(out, image, c)
         return LieElement._pruned(self, out)
 
     def _map_word(self, perm: Tuple[int, ...], i: int, w: Word) -> "LieElement":
@@ -210,94 +209,43 @@ class LieContext:
         return self.bracket(self._map_word(perm, i, u), self._map_word(perm, i, v))
 
 
-def _add_block(out: Blocks, block: int, terms: Dict[Word, Coef], coef: Coef) -> None:
-    if not coef:
-        return
-    dst = add_into(out.setdefault(block, {}), terms, coef)
-    if not dst:
-        out.pop(block, None)
-
-
-@dataclass(frozen=True, eq=False)
-class LieElement:
-    """Exact combination of Lyndon-basis words, stored by top index."""
+class LieElement(Combination):
+    """Exact combination of blockwise Lyndon-basis words, keyed by
+    (top index, word)."""
 
     ctx: LieContext
-    blocks: Blocks
+    terms: Terms
 
-    def __post_init__(self):
-        pruned = {i: {w: c for w, c in d.items() if c} for i, d in self.blocks.items()}
-        object.__setattr__(self, "blocks", {i: d for i, d in pruned.items() if d})
-
-    @classmethod
-    def _pruned(cls, ctx: LieContext, blocks: Blocks) -> "LieElement":
-        """Wrap, without copying, a fresh blocks dict that has no zero
-        coefficient and no empty block; the public constructor prunes."""
-        x = object.__new__(cls)
-        attrs = x.__dict__  # frozen: fill the fields directly
-        attrs["ctx"] = ctx
-        attrs["blocks"] = blocks
-        return x
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self.ctx._check(other)
-        out: Blocks = {i: dict(d) for i, d in self.blocks.items()}
-        for i, d in other.blocks.items():
-            _add_block(out, i, d, 1)
-        return LieElement._pruned(self.ctx, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-1)
-
-    def scale(self, c) -> "LieElement":
-        if not isinstance(c, int):
-            c = Fraction(c)
-        if not c:
-            return LieElement._pruned(self.ctx, {})
-        return LieElement._pruned(
-            self.ctx,
-            {i: {w: c * v for w, v in d.items()} for i, d in self.blocks.items()},
-        )
+    @property
+    def blocks(self) -> Dict[int, Dict[Word, Coef]]:
+        """The terms grouped by top index, as a fresh dict."""
+        out: Dict[int, Dict[Word, Coef]] = {}
+        for (i, w), c in self.terms.items():
+            out.setdefault(i, {})[w] = c
+        return out
 
     def bracket(self, other: "LieElement") -> "LieElement":
         return self.ctx.bracket(self, other)
 
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-    def __eq__(self, other) -> bool:
-        same_ctx = isinstance(other, LieElement) and self.ctx is other.ctx
-        return same_ctx and self.blocks == other.blocks
-
-    def __hash__(self):
-        raise TypeError("LieElement is not hashable")
-
-    def terms(self) -> List[Tuple[int, Word, Coef]]:
-        """(top index, word, coefficient), sorted by (top, length, word)."""
-        out = []
-        for i in sorted(self.blocks):
-            for w in sorted(self.blocks[i], key=lambda w: (len(w), w)):
-                out.append((i, w, self.blocks[i][w]))
-        return out
+    def sorted_terms(self) -> List[Tuple[Label, Coef]]:
+        return sorted(self.terms.items(), key=lambda item: label_key(item[0]))
 
     def degrees(self) -> List[int]:
         """Homological degrees 2q * length present in this element."""
-        return sorted({2 * self.ctx.q * len(w) for d in self.blocks.values() for w in d})
+        return sorted({2 * self.ctx.q * len(w) for _, w in self.terms})
+
+    def _label_repr(self, label: Label) -> str:
+        i, w = label
+        g = self.ctx.group
+        letters = (f"B({i},{j}|{g.format_element(g.element_by_uid(uid))})" for j, uid in w)
+        return "[" + " ".join(letters) + "]"
 
     def __repr__(self):
+        # asks is_zero first, so that with is_zero patched a zero prints "LieElement()"
         if self.is_zero():
             return "LieElement(0)"
-        bits = []
-        for i, w, c in self.terms():
-            word = " ".join(
-                f"B({i},{j}|{self.ctx.group.format_element(self.ctx.group.element_by_uid(uid))})"
-                for j, uid in w
-            )
-            bits.append(f"{c}*[{word}]")
-        return "LieElement(" + " + ".join(bits) + ")"
+        bits = (f"{c}*{self._label_repr(label)}" for label, c in self.sorted_terms())
+        return f"LieElement({' + '.join(bits)})"
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +345,8 @@ def graded_dimension_by_enumeration(ctx: LieContext, ell: int) -> int:
 def block_lyndon_basis(ctx: LieContext, ell: int) -> List[Tuple[int, Word]]:
     """All (top index, Lyndon word) basis labels of bracket length ell,
     for a finite decoration group."""
+    if ell < 1:
+        raise ValueError("bracket length must be >= 1")
     letters = strand_letters(ctx.group, ctx.n)
     out = []
     for i in range(2, ctx.n + 1):

@@ -15,7 +15,9 @@ Internally everything is computed in the (k-1)-desuspended grading
 the bracket restricted to primitives is the plain Lie bracket of the
 ``lie`` module with its integer structure constants.  The Koszul signs of
 the printed axioms fall out of this one convention; the suites assert the
-printed exponents verbatim.
+printed exponents verbatim.  A primitive is a (top index, Lyndon word)
+label, the label of a ``lie`` element's terms, so ``from_lie`` wraps each
+term as a one-factor monomial.
 
 All primitives share the parity of k-1, so the underlying algebra is
 polynomial for odd k and exterior-like (odd squares vanish) for even k.
@@ -30,17 +32,13 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import lie as lie_mod
-from .groups import GroupContext, GroupElement, decoration_order
+from .groups import GroupContext, GroupElement, decoration_order, strand_pair
+from .lie import label_key
 from .sparse import Coef, Combination, add_into
 
-Primitive = Tuple[int, tuple]  # (block, Lyndon word of block-local letters)
-Monomial = Tuple[Primitive, ...]  # sorted by _prim_key
+Primitive = lie_mod.Label  # (block, Lyndon word of block-local letters)
+Monomial = Tuple[Primitive, ...]  # sorted by label_key
 Terms = Dict[Monomial, Coef]
-
-
-def _prim_key(p: Primitive):
-    block, word = p
-    return (block, len(word), word)
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class PoissonContext:
         return PoissonElement(self, {})
 
     def generator(self, i: int, j: int, sigma: GroupElement) -> "PoissonElement":
-        i, j, sigma = self.lie.normalize_index(i, j, sigma)
+        i, j, sigma = strand_pair(self.group, self.n, i, j, sigma)
         prim: Primitive = (i, ((j, sigma.uid),))
         return PoissonElement(self, {(prim,): 1})
 
@@ -115,9 +113,7 @@ class PoissonContext:
         """A Lie normal form as a combination of primitive monomials."""
         if x.ctx.group is not self.group or x.ctx.n != self.n:
             raise ValueError("poisson grading mismatch")
-        return PoissonElement(
-            self, {((block, word),): c for block, word, c in x.terms()}
-        )
+        return PoissonElement(self, {(p,): c for p, c in x.terms.items()})
 
     def primitive_degree_of(self, p: Primitive) -> int:
         return self.grading.primitive_degree(len(p[1]))
@@ -135,7 +131,7 @@ class PoissonContext:
         sign = 1
         a, b = 0, 0
         while a < len(left) and b < len(right):
-            ka, kb = _prim_key(left[a]), _prim_key(right[b])
+            ka, kb = label_key(left[a]), label_key(right[b])
             if ka <= kb:
                 merged.append(left[a])
                 a += 1
@@ -228,7 +224,7 @@ class PoissonElement(Combination):
             key=lambda item: (
                 self.ctx.monomial_degree(item[0]),
                 len(item[0]),
-                tuple(_prim_key(p) for p in item[0]),
+                tuple(label_key(p) for p in item[0]),
             ),
         )
 
@@ -299,7 +295,7 @@ def enumerate_monomials(ctx: PoissonContext, degree: int) -> List[Monomial]:
     while ctx.grading.primitive_degree(length) <= degree:
         primitives.extend(lie_mod.block_lyndon_basis(ctx.lie, length))
         length += 1
-    primitives.sort(key=_prim_key)
+    primitives.sort(key=label_key)
     odd = ctx.grading.odd_primitives
     out: List[Monomial] = []
 

@@ -3,12 +3,13 @@ coefficients (ints, or Fractions once a rational scalar comes in).
 
 ``add_into`` is the one in-place accumulation step of the algebra modules,
 ``rewrite`` the one loop that rewrites words under an algebra's ``rewrite_pair``.
-``Combination`` is the frozen (ctx, terms) value type of the enveloping,
-cohomology, Poisson and group-ring elements, with their shared linear
-structure and repr; a subclass adds its product, its canonical term order
-and how one label prints.  ``StrandWordElement`` is the subclass whose
-labels are words of strand letters (i, j, uid), shared by the chord and
-cohomology algebras.
+``Combination`` is the frozen (ctx, terms) value type of the Lie,
+enveloping, cohomology, Poisson and group-ring elements, with their shared
+linear structure and repr; its sums and multiples wrap the dicts that
+``add_into`` has already pruned without copying them (``_pruned``).  A
+subclass adds its product, its canonical term order and how one label
+prints.  ``StrandWordElement`` is the subclass whose labels are words of
+strand letters (i, j, uid), shared by the chord and cohomology algebras.
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ class Combination:
     def __post_init__(self):
         object.__setattr__(self, "terms", {k: c for k, c in self.terms.items() if c})
 
+    @classmethod
+    def _pruned(cls, ctx, terms: Terms):
+        """Wrap, without copying, a fresh terms dict that has no zero
+        coefficient; the public constructor prunes."""
+        x = object.__new__(cls)
+        attrs = x.__dict__  # frozen: fill the fields directly
+        attrs["ctx"] = ctx
+        attrs["terms"] = terms
+        return x
+
     def _same_ctx(self, ctx) -> bool:
         return self.ctx is ctx
 
@@ -86,10 +97,10 @@ class Combination:
         raise ValueError(f"{type(self).__name__} context mismatch")
 
     def __add__(self, other):
-        return type(self)(self.ctx, add_into(dict(self.terms), self._operand(other).terms))
+        return self._pruned(self.ctx, add_into(dict(self.terms), self._operand(other).terms))
 
     def __sub__(self, other):
-        return type(self)(self.ctx, add_into(dict(self.terms), self._operand(other).terms, -1))
+        return self._pruned(self.ctx, add_into(dict(self.terms), self._operand(other).terms, -1))
 
     def __neg__(self):
         return self.scale(-1)
@@ -97,7 +108,7 @@ class Combination:
     def scale(self, c):
         if not isinstance(c, int):
             c = Fraction(c)
-        return type(self)(self.ctx, {k: c * v for k, v in self.terms.items()})
+        return self._pruned(self.ctx, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -234,7 +234,7 @@ class TestEmbedding:
         count = 0
         for ell in (1, 2, 3):
             for block, word in lie_mod.block_lyndon_basis(lctx, ell):
-                x = lie_mod.LieElement(lctx, {block: {word: Fraction(1)}})
+                x = lie_mod.LieElement(lctx, {(block, word): Fraction(1)})
                 rows.append(dict(ctx.embed_lie(x).terms))
                 count += 1
         assert count == 6 + 7 + 22

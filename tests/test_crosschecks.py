@@ -29,7 +29,7 @@ def test_lie_bracket_span_matches_graded_dimension():
         for b in gens:
             nf = ctx.bracket(ctx.generator(*a), ctx.generator(*b))
             inners.append(nf)
-            row = {(blk,) + w: c for blk, w, c in nf.terms()}
+            row = {(blk,) + w: c for (blk, w), c in nf.terms.items()}
             if row:
                 deg2.append(row)
     assert rank_of_rows(deg2) == lie_mod.graded_dimension(ctx, 2) == 7
@@ -39,7 +39,7 @@ def test_lie_bracket_span_matches_graded_dimension():
             continue
         for c in gens:
             nf = ctx.bracket(inner, ctx.generator(*c))
-            row = {(blk,) + w: coef for blk, w, coef in nf.terms()}
+            row = {(blk,) + w: coef for (blk, w), coef in nf.terms.items()}
             if row:
                 deg3.append(row)
     assert rank_of_rows(deg3) == lie_mod.graded_dimension(ctx, 3) == 22
@@ -78,7 +78,7 @@ def test_trivial_group_spans():
     for a in gens:
         for b in gens:
             nf = ctx.bracket(ctx.generator(*a), ctx.generator(*b))
-            row = {(blk,) + w: c for blk, w, c in nf.terms()}
+            row = {(blk,) + w: c for (blk, w), c in nf.terms.items()}
             if row:
                 rows.append(row)
     assert rank_of_rows(rows) == lie_mod.graded_dimension(ctx, 2) == 1

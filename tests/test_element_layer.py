@@ -35,7 +35,7 @@ def straightened_embedding(actx: AssocContext, x: LieElement) -> AssocElement:
         return actx.multiply(eu, ev) - actx.multiply(ev, eu)
 
     out = actx.zero()
-    for i, w, c in x.terms():
+    for (i, w), c in x.sorted_terms():
         out = out + embed_word(i, w).scale(c)
     return out
 
@@ -48,7 +48,7 @@ def test_embedding_of_every_basis_word_matches_straightened_commutators(make_gro
     lctx, actx = LieContext(group, n), AssocContext(group, n)
     for ell in (1, 2, 3):
         for i, w in block_lyndon_basis(lctx, ell):
-            x = LieElement(lctx, {i: {w: 1}})
+            x = LieElement(lctx, {(i, w): 1})
             assert actx.embed_lie(x) == straightened_embedding(actx, x), (i, w)
 
 

@@ -20,7 +20,7 @@ class TestGenerators:
         ctx, C3 = c3_ctx
         g = C3.parse_element("g")
         x = ctx.generator(3, 1, g)
-        assert x.terms() == [(3, ((1, g.uid),), Fraction(1))]
+        assert x.sorted_terms() == [((3, ((1, g.uid),)), Fraction(1))]
 
     def test_mirrored_index_inverts_decoration(self, c3_ctx):
         ctx, C3 = c3_ctx
@@ -105,8 +105,8 @@ def test_normal_form_linear_and_idempotent():
         assert x.scale(Fraction(3, 4)).scale(Fraction(4, 3)) == x
         # rebuilding from the stored terms reproduces the element
         rebuilt = ctx.zero()
-        for block, word, coef in x.terms():
-            rebuilt = rebuilt + lie_mod.LieElement(ctx, {block: {word: coef}})
+        for label, coef in x.sorted_terms():
+            rebuilt = rebuilt + lie_mod.LieElement(ctx, {label: coef})
         assert rebuilt == x
 
 
@@ -117,7 +117,7 @@ def test_integral_inputs_have_integral_normal_forms():
     for _ in range(40):
         tree = random_expression_tree(rng, 4, C2.elements(), rng.randint(1, 4))
         x = eval_expression_tree(ctx, tree)
-        for _, _, coef in x.terms():
+        for coef in x.terms.values():
             assert coef.denominator == 1
 
 
@@ -192,6 +192,17 @@ class TestDimensions:
                 assert lie_mod.graded_dimension(ctx, ell) == (
                     lie_mod.graded_dimension_by_enumeration(ctx, ell)
                 )
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_counts_refuse_lengths_below_one(self, ell):
+        ctx = lie_mod.LieContext(cyclic_group(2), 3)
+        for count in (
+            lie_mod.graded_dimension,
+            lie_mod.graded_dimension_by_enumeration,
+            lie_mod.block_lyndon_basis,
+        ):
+            with pytest.raises(ValueError, match=r"^bracket length must be >= 1$"):
+                count(ctx, ell)
 
     def test_bruteforce_examples(self):
         triv = cyclic_group(1)

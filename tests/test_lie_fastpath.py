@@ -1,4 +1,4 @@
-"""Lie elements built without re-pruning, and the memo of permutation images
+"""Elements built without re-pruning, and the memo of permutation images
 kept in the per-(group, n) structure."""
 
 import gc
@@ -10,8 +10,11 @@ from fractions import Fraction
 import pytest
 
 from ocs import lie as lie_mod
+from ocs.assoc import AssocContext, LambdaElement
+from ocs.cohomology import CohomContext
 from ocs.groups import FiniteGroup, cyclic_group
 from ocs.lie import LieContext, LieElement
+from ocs.poisson import PoissonContext, PoissonGrading
 from ocs.verify import VerifyConfig, random_lie_element, run_suite
 
 
@@ -40,13 +43,8 @@ def _samples(ctx, seed, count=8):
 
 
 def _assert_canonical(x):
-    assert all(d for d in x.blocks.values())
-    assert all(c for d in x.blocks.values() for c in d.values())
-    assert x.blocks == LieElement(x.ctx, x.blocks).blocks
-
-
-def _snapshot(x):
-    return {i: dict(d) for i, d in x.blocks.items()}
+    assert all(x.terms.values())
+    assert x.terms == type(x)(x.ctx, x.terms).terms
 
 
 @pytest.mark.parametrize("make_group, n", CASES, ids=IDS)
@@ -72,14 +70,50 @@ def test_every_producer_returns_canonical_blocks(make_group, n):
             ctx.act_symmetric(perms[-1], x),
         ):
             _assert_canonical(z)
-    assert (xs[0] - xs[0]).blocks == {}
-    assert xs[0].scale(0).blocks == {}
+    assert (xs[0] - xs[0]).terms == {}
+    assert xs[0].scale(0).terms == {}
+
+
+def _linear_samples(group):
+    """A few elements of every other element type over C2, n=3."""
+    g = group.parse_element("g")
+    actx, cctx = AssocContext(group, 3), CohomContext(group, 3)
+    pctx = PoissonContext(group, 3, PoissonGrading(2, 1))
+    e = group.identity()
+    return [
+        [actx.generator(3, 1, g) * actx.generator(2, 1, e), actx.generator(3, 2, g).scale(3)],
+        [cctx.cup(cctx.generator(3, 1, g), cctx.generator(2, 1, e)), cctx.generator(3, 2, g)],
+        [pctx.generator(3, 1, g) * pctx.generator(2, 1, e), pctx.generator(3, 2, g).scale(2)],
+        [LambdaElement(actx, {(g, e, g): 2, (e, e, e): 1}), LambdaElement(actx, {(g, e, g): -2})],
+    ]
+
+
+@pytest.mark.parametrize("kind", range(4), ids=["assoc", "cohom", "poisson", "lambda"])
+def test_every_element_type_returns_canonical_terms(kind):
+    xs = _linear_samples(cyclic_group(2))[kind]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        for z in (x + y, x - y, x - x, -x, x.scale(0), x.scale(Fraction(1, 2))):
+            assert type(z) is type(x)
+            _assert_canonical(z)
+        assert (x - x).terms == {} and x.scale(0).terms == {}
+        assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
 
 
 def test_public_constructor_still_prunes():
     ctx = LieContext(cyclic_group(2), 3)
-    x = LieElement(ctx, {2: {((1, 0),): 0}, 3: {((1, 1),): 2, ((2, 0),): 0}})
-    assert x.blocks == {3: {((1, 1),): 2}}
+    x = LieElement(ctx, {(2, ((1, 0),)): 0, (3, ((1, 1),)): 2, (3, ((2, 0),)): 0})
+    assert x.terms == {(3, ((1, 1),)): 2}
+
+
+@pytest.mark.parametrize("make_group, n", CASES, ids=IDS)
+def test_blocks_group_the_terms_by_top_index(make_group, n):
+    ctx = LieContext(make_group(), n)
+    for x in _samples(ctx, 47) + [ctx.zero()]:
+        tops = {i for i, _ in x.terms}
+        want = {i: {w: c for (t, w), c in x.terms.items() if t == i} for i in tops}
+        assert x.blocks == want
+        x.blocks.clear()  # a fresh dict each time: the element is unchanged
+        assert x.blocks == want
 
 
 @pytest.mark.parametrize("make_group, n", CASES, ids=IDS)
@@ -97,11 +131,10 @@ def test_images_match_a_fresh_group_on_miss_and_hit(make_group, n):
             hit = ctx.act_symmetric(perm, x)
             # the unmemoized computation, word by word, on the other group
             want = ref.zero()
-            for i, d in x.blocks.items():
-                for w, c in d.items():
-                    want = want + ref._map_word(perm, i, w).scale(c)
-            assert miss.blocks == hit.blocks == want.blocks
-            assert ref.act_symmetric(perm, LieElement(ref, x.blocks)).blocks == want.blocks
+            for (i, w), c in x.terms.items():
+                want = want + ref._map_word(perm, i, w).scale(c)
+            assert miss.terms == hit.terms == want.terms
+            assert ref.act_symmetric(perm, LieElement(ref, x.terms)).terms == want.terms
 
 
 def test_mutating_a_result_does_not_change_later_results():
@@ -113,16 +146,15 @@ def test_mutating_a_result_does_not_change_later_results():
     for y in (x, ctx.generator(2, 1, group.elements()[4])):
         for _ in range(2):  # a memo miss, then a hit
             first = ctx.act_symmetric(perm, y)
-            want = _snapshot(first)
-            for d in first.blocks.values():
-                for w in d:
-                    d[w] = 99
-            first.blocks[1] = {((1, 0),): 5}
-            assert _snapshot(ctx.act_symmetric(perm, y)) == want
+            want = dict(first.terms)
+            for label in first.terms:
+                first.terms[label] = 99
+            first.terms[1, ((1, 0),)] = 5
+            assert ctx.act_symmetric(perm, y).terms == want
     product = ctx.bracket(x, ctx.generator(3, 1, group.identity()))
-    want = _snapshot(product)
-    product.blocks.clear()
-    assert _snapshot(ctx.bracket(x, ctx.generator(3, 1, group.identity()))) == want
+    want = dict(product.terms)
+    product.terms.clear()
+    assert ctx.bracket(x, ctx.generator(3, 1, group.identity())).terms == want
 
 
 def test_image_memo_is_shared_across_q_and_freed_with_the_group():
@@ -134,8 +166,8 @@ def test_image_memo_is_shared_across_q_and_freed_with_the_group():
     key = (perm, 2, ((1, g.uid),))
     assert key not in ctx3._deriv_cache
     image = ctx1.act_symmetric(perm, x1)
-    assert ctx3._deriv_cache[key] == image.blocks
-    assert ctx3.act_symmetric(perm, x3).blocks == image.blocks
+    assert ctx3._deriv_cache[key] == image.terms
+    assert ctx3.act_symmetric(perm, x3).terms == image.terms
     group_ref = weakref.ref(group)
     gc.collect()
     before = len(lie_mod._STRUCTURES)
@@ -154,7 +186,7 @@ def test_a_wrong_memoized_image_fails_symmetric_action(monkeypatch):
         original(self, group, n, q)
         g = group.parse_element("g")
         # (1 2) sends B^g_{2,1} to B^{g^-1}_{2,1} = B^g_{2,1}; store B^e_{2,1}
-        self._deriv_cache[((2, 1, 3), 2, ((1, g.uid),))] = {2: {((1, group.identity().uid),): 1}}
+        self._deriv_cache[((2, 1, 3), 2, ((1, g.uid),))] = {(2, ((1, group.identity().uid),)): 1}
 
     monkeypatch.setattr(LieContext, "__init__", init)
     failures = run_suite("symmetric-action", cfg)["failures"]
@@ -177,5 +209,3 @@ class TestIntegerStrands:
         ctx = LieContext(C2, 3)
         with pytest.raises(ValueError, match="ints"):
             ctx.generator(i, j, C2.identity())
-        with pytest.raises(ValueError, match="ints"):
-            ctx.normalize_index(i, j, C2.identity())

@@ -51,9 +51,9 @@ def leibniz_bracket(ctx, reference_lie, left, right):
         )
     (pa, wa), (pb, wb) = left[0], right[0]
     value = reference_lie.bracket(
-        LieElement(reference_lie, {pa: {wa: 1}}), LieElement(reference_lie, {pb: {wb: 1}})
+        LieElement(reference_lie, {(pa, wa): 1}), LieElement(reference_lie, {(pb, wb): 1})
     )
-    return PoissonElement(ctx, {((block, word),): c for block, word, c in value.terms()})
+    return PoissonElement(ctx, {(p,): c for p, c in value.terms.items()})
 
 
 @pytest.mark.parametrize("make_group", [lambda: cyclic_group(2), s3_group], ids=["C2", "S3"])
