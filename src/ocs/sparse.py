@@ -81,9 +81,11 @@ class Combination:
         """Wrap, without copying, a fresh terms dict that has no zero
         coefficient; the public constructor prunes."""
         x = object.__new__(cls)
-        attrs = x.__dict__  # frozen: fill the fields directly
-        attrs["ctx"] = ctx
-        attrs["terms"] = terms
+        # frozen: set the fields directly, through object.__setattr__ rather
+        # than x.__dict__, which would materialize the instance dict and slow
+        # every later attribute read
+        object.__setattr__(x, "ctx", ctx)
+        object.__setattr__(x, "terms", terms)
         return x
 
     def _same_ctx(self, ctx) -> bool:
