@@ -5,11 +5,12 @@ coefficients (ints, or Fractions once a rational scalar comes in).
 ``rewrite`` the one loop that rewrites words under an algebra's ``rewrite_pair``.
 ``Combination`` is the frozen (ctx, terms) value type of the Lie,
 enveloping, cohomology, Poisson and group-ring elements, with their shared
-linear structure and repr; its sums and multiples wrap the dicts that
-``add_into`` has already pruned without copying them (``_pruned``).  A
-subclass adds its product, its canonical term order and how one label
-prints.  ``StrandWordElement`` is the subclass whose labels are words of
-strand letters (i, j, uid), shared by the chord and cohomology algebras.
+linear structure and repr; its sums and multiples wrap the dicts they
+build, which hold no zero coefficient, without a re-pruning copy
+(``_pruned``).  A subclass adds its product, its canonical term order
+and how one label prints.  ``StrandWordElement`` is the subclass whose
+labels are words of strand letters (i, j, uid), shared by the chord and
+cohomology algebras.
 """
 
 from __future__ import annotations
