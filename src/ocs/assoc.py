@@ -9,15 +9,17 @@ degree 1, with X^gamma_{j,i} denoting X^{gamma^-1}_{i,j}) by
 It is the universal enveloping algebra of the Lie algebra in ``lie``, and
 a Poincare-Birkhoff-Witt basis is given by canonical words: top indices
 nondecreasing left to right, the letters within one block free.
-Multiplication straightens concatenations to this basis with
-``sparse.rewrite`` under the one-step rule ``AssocContext.rewrite_pair``,
+``AssocContext`` is a ``sparse.StrandWordContext``, whose one product,
+shared with the cohomology ring, straightens concatenations to this basis
+with ``sparse.rewrite`` under the one-step rule ``AssocContext.rewrite_pair``,
 which pushes larger top indices right; each swap across blocks adds the
 commutator correction dictated by the derivation formulas of the Lie
 module.
 
 The group ring Z[G^n] acts by slot-wise conjugation (slot i twists the
 decoration to mu*gamma, slot j to gamma*mu^-1), and the symmetric group
-acts by relabeling strands; both are degree-preserving automorphisms.
+acts by relabeling strands; both are degree-preserving automorphisms, and
+each is a letter map applied by ``StrandWordContext.substitute``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import lyndon
 from .errors import ResourceLimitError
 from .groups import (
-    GroupContext,
     GroupElement,
     check_int_strands,
     decoration_order,
@@ -38,34 +39,33 @@ from .groups import (
 )
 from .lie import LieElement
 from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, Combination, Step, StrandWordElement, add_into, rewrite
+from .sparse import Coef, Combination, Step, StrandWordContext, StrandWordElement, add_into, rewrite
 
 Letter = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Word = Tuple[Letter, ...]
 Terms = Dict[Word, Coef]
 
 
-class AssocContext:
-    def __init__(self, group: GroupContext, n: int):
-        if n < 2:
-            raise ValueError("need at least n = 2 strands")
-        self.group = group
-        self.n = n
+class AssocElement(StrandWordElement):
+    """Rational combination of canonical words, graded by word length."""
+
+    ctx: "AssocContext"
+    terms: Terms
+    symbol = "X"
+
+    def __mul__(self, other: "AssocElement") -> "AssocElement":
+        return self.ctx.multiply(self, other)
+
+
+class AssocContext(StrandWordContext):
+    element = AssocElement
+    mismatch = "assoc context mismatch"
 
     def letter(self, i: int, j: int, gamma: GroupElement) -> Letter:
         i, j, gamma = strand_pair(self.group, self.n, i, j, gamma)
         return (i, j, gamma.uid)
 
-    def one(self) -> "AssocElement":
-        return AssocElement(self, {(): 1})
-
-    def zero(self) -> "AssocElement":
-        return AssocElement(self, {})
-
-    def generator(self, i: int, j: int, gamma: GroupElement) -> "AssocElement":
-        return AssocElement(self, {(self.letter(i, j, gamma),): 1})
-
-    def word(self, letters: Sequence[Letter]) -> "AssocElement":
+    def word(self, letters: Sequence[Letter]) -> AssocElement:
         """The product of normalized letters (i, j, uid), n >= i > j >= 1."""
         letters = tuple(letters)
         for letter in letters:
@@ -75,10 +75,6 @@ class AssocContext:
             if not (self.n >= i > j >= 1 and 0 <= uid < len(self.group._elements)):
                 raise ValueError(f"letter {letter!r} needs {self.n} >= i > j >= 1 and a known uid")
         return AssocElement(self, rewrite({letters: 1}, self.rewrite_pair))
-
-    def _check(self, x: "AssocElement") -> None:
-        if not isinstance(x, AssocElement) or x.ctx is not self:
-            raise ValueError("assoc context mismatch")
 
     def rewrite_pair(self, x: Letter, y: Letter) -> Optional[Step]:
         """One straightening step on the adjacent letters x y: None when
@@ -102,102 +98,71 @@ class AssocContext:
             r = (i, b, group.multiply(delta, gamma).uid)
         return (((y, x), 1), ((r, x), 1), ((x, r), -1))
 
-    def multiply(self, x: "AssocElement", y: "AssocElement") -> "AssocElement":
-        self._check(x)
-        self._check(y)
-        raw: Terms = {}
-        for wu, cu in x.terms.items():
-            for wv, cv in y.terms.items():
-                key = wu + wv
-                raw[key] = raw.get(key, 0) + cu * cv
-        return AssocElement(self, rewrite(raw, self.rewrite_pair))
+    multiply = StrandWordContext._product  # bound here: the tracer looks in this class
 
     # -- group-ring and symmetric-group actions ---------------------------
 
-    def conjugate(self, mu: GroupElement, slot: int, x: "AssocElement") -> "AssocElement":
+    def conjugate(self, mu: GroupElement, slot: int, x: AssocElement) -> AssocElement:
         """Conjugation by mu inserted at the given strand slot (1..n)."""
-        self._check(x)
-        self.group._check(mu)
+        group = self.group
+        group._check(mu)
         check_int_strands(slot)
         if not 1 <= slot <= self.n:
             raise ValueError(f"slot {slot} out of range for n={self.n}")
-        mu_inv = self.group.invert(mu)
+        mu_inv = group.invert(mu)
 
         def map_letter(letter: Letter) -> Letter:
             i, j, uid = letter
             if slot == i:
-                dec = self.group.multiply(mu, self.group.element_by_uid(uid))
-                return (i, j, dec.uid)
+                return (i, j, group.multiply(mu, group.element_by_uid(uid)).uid)
             if slot == j:
-                dec = self.group.multiply(self.group.element_by_uid(uid), mu_inv)
-                return (i, j, dec.uid)
+                return (i, j, group.multiply(group.element_by_uid(uid), mu_inv).uid)
             return letter
 
-        return AssocElement(
-            self,
-            {tuple(map_letter(l) for l in w): c for w, c in x.terms.items()},
-        )
+        return self.substitute(x, map_letter)
 
-    def conjugate_tuple(
-        self, decorations: Sequence[GroupElement], x: "AssocElement"
-    ) -> "AssocElement":
+    def conjugate_tuple(self, decorations: Sequence[GroupElement], x: AssocElement) -> AssocElement:
         if len(decorations) != self.n:
             raise ValueError(f"need an n-tuple of decorations, n={self.n}")
         for slot, mu in enumerate(decorations, start=1):
             x = self.conjugate(mu, slot, x)
         return x
 
-    def act_permutation(self, perm: Sequence[int], x: "AssocElement") -> "AssocElement":
+    def act_permutation(self, perm: Sequence[int], x: AssocElement) -> AssocElement:
         """Strand relabeling gamma: X^g_{i,j} -> X^g_{gamma(i),gamma(j)},
         renormalized to top > lower and re-straightened."""
-        self._check(x)
         perm = strand_permutation(perm, self.n)
-        raw: Terms = {}
-        for w, c in x.terms.items():
-            new = tuple(
-                self.letter(perm[i - 1], perm[j - 1], self.group.element_by_uid(uid))
-                for i, j, uid in w
-            )
-            raw[new] = raw.get(new, 0) + c
-        return AssocElement(self, rewrite(raw, self.rewrite_pair))
+        by_uid = self.group.element_by_uid
+        return self.substitute(
+            x, lambda l: self.letter(perm[l[0] - 1], perm[l[1] - 1], by_uid(l[2]))
+        )
 
     def act_tilde(
         self,
         perm: Sequence[int],
         decorations: Sequence[GroupElement],
-        x: "AssocElement",
-    ) -> "AssocElement":
+        x: AssocElement,
+    ) -> AssocElement:
         """Decorated-permutation action: strand relabeling followed by
         slot-wise conjugation."""
         return self.conjugate_tuple(decorations, self.act_permutation(perm, x))
 
     # -- enveloping-algebra structure --------------------------------------
 
-    def embed_lie(self, x: LieElement) -> "AssocElement":
+    def embed_lie(self, x: LieElement) -> AssocElement:
         """Each Lyndon bracket's tensor expansion, lifted into its block.
         The letters of one block share their top index, so the expansion is
         already canonical and needs no straightening."""
         if not isinstance(x, LieElement):
-            raise ValueError("assoc context mismatch")
+            raise ValueError(self.mismatch)
         lctx = x.ctx
         if lctx.group is not self.group or lctx.n != self.n:
-            raise ValueError("assoc context mismatch")
+            raise ValueError(self.mismatch)
         out: Terms = {}
         for (i, w), c in x.sorted_terms():
             expansion = lyndon.bracket_tensor(w)
             add_into(out, {tuple((i, j, uid) for j, uid in t): k for t, k in expansion.items()}, c)
         return AssocElement(self, out)
-
-
-class AssocElement(StrandWordElement):
-    """Rational combination of canonical words, graded by word length."""
-
-    ctx: AssocContext
-    terms: Terms
-    symbol = "X"
-
-    def __mul__(self, other: "AssocElement") -> "AssocElement":
-        return self.ctx.multiply(self, other)
 
 
 # ---------------------------------------------------------------------------

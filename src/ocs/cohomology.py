@@ -6,8 +6,10 @@ sigma in G) subject to
     (2)  A^mu_{i,t} . A^nu_{i,j}
              = A^{mu nu^-1}_{j,t} . (A^nu_{i,j} - A^mu_{i,t})   (t < j < i).
 
-Degree-1 classes anticommute (graded commutativity).  The cup product
-rewrites to the admissible basis -- products with pairwise distinct top
+Degree-1 classes anticommute (graded commutativity).  ``CohomContext`` is
+a ``sparse.StrandWordContext``, so the cup product is the shared product of
+the chord algebra: it concatenates every pair of monomials and rewrites the
+sum once to the admissible basis -- products with pairwise distinct top
 indices, sorted ascending -- by ``sparse.rewrite`` under the one-step rule
 ``CohomContext.rewrite_pair``.  Additively the ring is a tensor product of
 n-1 bouquet-of-circles factors, the factor for top index i carrying
@@ -25,27 +27,29 @@ from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ResourceLimitError
-from .groups import (
-    GroupContext,
-    GroupElement,
-    check_int_strands,
-    decoration_order,
-    strand_letters,
-)
+from .groups import GroupElement, check_int_strands, decoration_order, strand_letters
 from .linalg import quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
-from .sparse import Coef, Step, StrandWordElement, add_into, rewrite
+from .sparse import Coef, Step, StrandWordContext, StrandWordElement
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
 Monomial = Tuple[Factor, ...]  # strictly increasing top indices
 Terms = Dict[Monomial, Coef]
 
 
-class CohomContext:
-    def __init__(self, group: GroupContext, n: int):
-        if n < 2:
-            raise ValueError("need at least n = 2 strands")
-        self.group = group
-        self.n = n
+class CohomElement(StrandWordElement):
+    """Rational combination of admissible monomials, graded by length."""
+
+    ctx: "CohomContext"
+    terms: Terms
+    symbol = "A"
+
+    def __mul__(self, other: "CohomElement") -> "CohomElement":
+        return self.ctx.cup(self, other)
+
+
+class CohomContext(StrandWordContext):
+    element = CohomElement
+    mismatch = "cohomology context mismatch"
 
     def factor(self, i: int, j: int, sigma: GroupElement) -> Factor:
         check_int_strands(i, j)
@@ -54,29 +58,7 @@ class CohomContext:
         self.group._check(sigma)
         return (i, j, sigma.uid)
 
-    def one(self) -> "CohomElement":
-        return CohomElement(self, {(): 1})
-
-    def zero(self) -> "CohomElement":
-        return CohomElement(self, {})
-
-    def generator(self, i: int, j: int, sigma: GroupElement) -> "CohomElement":
-        return CohomElement(self, {(self.factor(i, j, sigma),): 1})
-
-    def _check(self, x: "CohomElement") -> None:
-        if not isinstance(x, CohomElement) or x.ctx is not self:
-            raise ValueError("cohomology context mismatch")
-
-    # -- cup product -------------------------------------------------------
-
-    def cup(self, x: "CohomElement", y: "CohomElement") -> "CohomElement":
-        self._check(x)
-        self._check(y)
-        out: Terms = {}
-        for mu, cu in x.terms.items():
-            for mv, cv in y.terms.items():
-                add_into(out, rewrite({mu + mv: cu * cv}, self.rewrite_pair))
-        return CohomElement(self, out)
+    letter = factor  # strict: no mirroring of a reversed pair
 
     def rewrite_pair(self, x: Factor, y: Factor) -> Optional[Step]:
         """One rewriting step on the adjacent classes x y: None when
@@ -99,16 +81,7 @@ class CohomContext:
         z = (b, a, group.multiply(mu, group.invert(nu)).uid)
         return (((z, y), 1), ((z, x), -1))
 
-
-class CohomElement(StrandWordElement):
-    """Rational combination of admissible monomials, graded by length."""
-
-    ctx: CohomContext
-    terms: Terms
-    symbol = "A"
-
-    def __mul__(self, other: "CohomElement") -> "CohomElement":
-        return self.ctx.cup(self, other)
+    cup = StrandWordContext._product  # bound here: the tracer looks in this class
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ build, which hold no zero coefficient, without a re-pruning copy
 (``_pruned``).  A subclass adds its product, its canonical term order
 and how one label prints.  ``StrandWordElement`` is the subclass whose
 labels are words of strand letters (i, j, uid), shared by the chord and
-cohomology algebras.
+cohomology algebras; ``StrandWordContext`` is their shared (group, n)
+context, with the one product (concatenate, then rewrite) and the one
+letter-substitution action ``substitute`` through which the chord
+algebra's group and symmetric-group actions are defined.
 """
 
 from __future__ import annotations
@@ -152,3 +155,54 @@ class StrandWordElement(Combination):
             f"{self.symbol}({i},{j}|{g.format_element(g.element_by_uid(uid))})" for i, j, uid in w
         )
         return " ".join(letters) or "1"
+
+
+class StrandWordContext:
+    """The (group, n) context of a quadratic algebra on strand letters
+    (i, j, uid).  A subclass names its ``element`` class and ``mismatch``
+    message, and supplies ``letter(i, j, g)`` and the one-step
+    ``rewrite_pair``.  It binds its public product name to ``_product`` in
+    its own class body, so that the name is in that class's ``__dict__``."""
+
+    element: type
+    mismatch: str
+
+    def __init__(self, group, n: int):
+        if n < 2:
+            raise ValueError("need at least n = 2 strands")
+        self.group = group
+        self.n = n
+
+    def one(self):
+        return self.element(self, {(): 1})
+
+    def zero(self):
+        return self.element(self, {})
+
+    def generator(self, i: int, j: int, g):
+        return self.element(self, {(self.letter(i, j, g),): 1})
+
+    def _check(self, x) -> None:
+        if not isinstance(x, self.element) or x.ctx is not self:
+            raise ValueError(self.mismatch)
+
+    def _product(self, x, y):
+        """Every pair of words concatenated, then one ``rewrite``."""
+        self._check(x)
+        self._check(y)
+        raw: Terms = {}
+        for wu, cu in x.terms.items():
+            for wv, cv in y.terms.items():
+                key = wu + wv
+                raw[key] = raw.get(key, 0) + cu * cv
+        return self.element(self, rewrite(raw, self.rewrite_pair))
+
+    def substitute(self, x, letter_map: Callable[[tuple], tuple]):
+        """Every letter of x replaced by ``letter_map(letter)``, then one
+        ``rewrite``."""
+        self._check(x)
+        raw: Terms = {}
+        for w, c in x.terms.items():
+            key = tuple(map(letter_map, w))
+            raw[key] = raw.get(key, 0) + c
+        return self.element(self, rewrite(raw, self.rewrite_pair))
