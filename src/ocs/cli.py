@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import expressions
 from .errors import ParseError, ResourceLimitError
@@ -62,6 +62,24 @@ def _truncation_order(args, group) -> Optional[int]:
             "pass --radius R to count decorations in the radius-R ball"
         )
     return len(group.enumerate_ball(args.radius, max_size=args.max_basis))
+
+
+def _refuse_unprintable(bits: Iterable[int], flag: str) -> None:
+    """Refuse (exit 3) before any work when one table entry would have more
+    digits than Python converts to a string (``sys.get_int_max_str_digits``,
+    0 for no limit; absent before 3.10.7).  ``bits`` are lower bounds on
+    the base-2 logarithms of the factors of that entry."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    total = 0
+    for b in bits:
+        total += b
+        # the entry is >= 2**total, so it has more than total*log10(2) digits
+        if total * 30102 // 100000 >= limit:
+            raise ResourceLimitError(
+                f"an entry would print with more than {limit} digits; lower {flag}"
+            )
 
 
 def _format_terms(rows: List[dict]) -> List[str]:
@@ -234,6 +252,9 @@ def _cmd_assoc(args) -> int:
         _emit(args, rows, _format_terms(rows))
         return 0
     order = _truncation_order(args, group)
+    # the last coefficient is at least ((n-1)|G|)^max_deg
+    ratio = (args.n - 1) * (order or group.order)
+    _refuse_unprintable([(ratio.bit_length() - 1) * args.max_deg], "--max-deg")
     coeffs = assoc_mod.hilbert_coefficients(ctx, args.max_deg, group_order=order)
     _emit(args, {"coefficients": coeffs}, [str(coeffs)])
     return 0
@@ -250,6 +271,11 @@ def _cmd_cohom(args) -> int:
         _emit(args, rows, _format_terms(rows))
         return 0
     order = _truncation_order(args, group)
+    # the top coefficient is prod_{i=2..n} (i-1)|G|
+    _refuse_unprintable(
+        (((i - 1) * (order or group.order)).bit_length() - 1 for i in range(2, args.n + 1)),
+        "--n",
+    )
     coeffs = cohom_mod.poincare_polynomial(ctx, group_order=order)
     _emit(args, {"coefficients": coeffs}, [str(coeffs)])
     return 0
@@ -289,10 +315,7 @@ def _cmd_poisson(args) -> int:
         group, args.n, poisson_mod.PoissonGrading(args.k, args.q)
     )
     order = _truncation_order(args, group)
-    dims = [
-        poisson_mod.basis_dimension(pctx, d, group_order=order)
-        for d in range(0, args.max_deg + 1)
-    ]
+    dims = poisson_mod.basis_dimensions(pctx, args.max_deg, group_order=order)
     _emit(
         args,
         {"degrees": list(range(0, args.max_deg + 1)), "dims": dims},

@@ -258,32 +258,38 @@ def basis_dimension(
 ) -> int:
     """Number of basis monomials of the given total degree: multisets of
     basis brackets, square-free in the odd-primitive regime."""
-    if degree < 0:
+    return basis_dimensions(ctx, degree, group_order)[degree]
+
+
+def basis_dimensions(
+    ctx: PoissonContext, max_deg: int, group_order: Optional[int] = None
+) -> List[int]:
+    """``basis_dimension`` for every degree 0..max_deg: the coefficients of
+    one truncated series, the product over bracket lengths of one factor
+    per basis bracket (1/(1-t^d)^count, or (1+t^d)^count when odd)."""
+    if max_deg < 0:
         raise ValueError("degree must be >= 0")
     group_order = decoration_order(ctx.group, group_order, "basis counting")
-    poly = [0] * (degree + 1)
-    poly[0] = 1
+    poly = [1] + [0] * max_deg
     length = 1
     while True:
         delta = ctx.grading.primitive_degree(length)
-        if delta > degree:
+        if delta > max_deg:
             break
         count = lie_mod.graded_dimension(ctx.lie, length, group_order=group_order)
         if count:
-            factor = [0] * (degree + 1)
-            for m in range(degree // delta + 1):
-                factor[m * delta] = (
-                    comb(count, m) if ctx.grading.odd_primitives else comb(count + m - 1, m)
-                )
-            nxt = [0] * (degree + 1)
+            factor = [
+                comb(count, m) if ctx.grading.odd_primitives else comb(count + m - 1, m)
+                for m in range(max_deg // delta + 1)
+            ]
+            nxt = [0] * (max_deg + 1)
             for a, ca in enumerate(poly):
                 if ca:
-                    for b in range(0, degree + 1 - a, 1):
-                        if factor[b]:
-                            nxt[a + b] += ca * factor[b]
+                    for m, f in enumerate(factor[: (max_deg - a) // delta + 1]):
+                        nxt[a + m * delta] += ca * f
             poly = nxt
         length += 1
-    return poly[degree]
+    return poly
 
 
 def enumerate_monomials(ctx: PoissonContext, degree: int) -> List[Monomial]:

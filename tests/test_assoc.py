@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ocs.errors import ResourceLimitError
-from ocs.groups import cyclic_group
+from ocs.groups import cyclic_group, load_group
 from ocs import assoc as assoc_mod
 from ocs import lie as lie_mod
 from ocs.linalg import rank_of_rows
 from ocs.verify import random_lie_element
+from test_nonabelian_oracles import s3_group
 
 
 @pytest.fixture
@@ -187,6 +188,50 @@ class TestActions:
         lam2 = assoc_mod.LambdaElement(ctx, {(e, e, g): 3})
         a = ctx.generator(3, 1, g) * ctx.generator(2, 1, e)
         assert (lam1 * lam2).act(a) == lam1.act(lam2.act(a))
+
+
+@pytest.fixture(params=["S3-n3", "surface2-ball1"])
+def decorated(request):
+    """A chord algebra over a nonabelian group and the decorations its
+    random words and group tuples draw from."""
+    if request.param == "S3-n3":
+        group = s3_group()
+        return assoc_mod.AssocContext(group, 3), group.elements()
+    group = load_group("surface:2")
+    return assoc_mod.AssocContext(group, 3), group.enumerate_ball(1)
+
+
+class TestDecoratedActionsNonabelian:
+    def _random(self, rng, ctx, decorations):
+        perm = tuple(rng.sample(range(1, ctx.n + 1), ctx.n))
+        return perm, tuple(rng.choice(decorations) for _ in range(ctx.n))
+
+    def _element(self, rng, ctx, decorations):
+        return random_word(rng, ctx, decorations) - random_word(rng, ctx, decorations).scale(2)
+
+    def test_act_tilde_is_an_algebra_automorphism(self, decorated):
+        ctx, decorations = decorated
+        rng = random.Random(71)
+        for _ in range(12):
+            perm, mu = self._random(rng, ctx, decorations)
+            a, b = self._element(rng, ctx, decorations), self._element(rng, ctx, decorations)
+            image_a, image_b = ctx.act_tilde(perm, mu, a), ctx.act_tilde(perm, mu, b)
+            assert ctx.act_tilde(perm, mu, a * b) == image_a * image_b
+            assert ctx.act_tilde(perm, mu, a + b) == image_a + image_b
+
+    def test_wreath_composition_law(self, decorated):
+        ctx, decorations = decorated
+        group = ctx.group
+        rng = random.Random(73)
+        for _ in range(12):
+            pi, mu = self._random(rng, ctx, decorations)
+            rho, nu = self._random(rng, ctx, decorations)
+            x = self._element(rng, ctx, decorations)
+            # (pi o rho)(i) = pi(rho(i)); lambda_k = mu_k nu_{pi^-1(k)}
+            composed = tuple(pi[rho[i] - 1] for i in range(ctx.n))
+            lam = tuple(group.multiply(mu[k], nu[pi.index(k + 1)]) for k in range(ctx.n))
+            lhs = ctx.act_tilde(pi, mu, ctx.act_tilde(rho, nu, x))
+            assert lhs == ctx.act_tilde(composed, lam, x)
 
 
 class TestEmbedding:

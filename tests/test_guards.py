@@ -1,12 +1,17 @@
-"""Refusals: finite tables that are not groups or are too large, and a
-Poisson grading header that disagrees with explicit flags."""
+"""Refusals: finite tables that are not groups or are too large, series
+tables whose entries Python cannot print, and a Poisson grading header
+that disagrees with explicit flags."""
 
 import json
 import random
+import sys
+import time
 
 import pytest
 
 from ocs import cli
+from ocs.assoc import AssocContext, hilbert_coefficients
+from ocs.cohomology import CohomContext, poincare_polynomial
 from ocs.errors import ResourceLimitError
 from ocs.groups import MAX_FINITE_ORDER, FiniteGroup, _is_associative, cyclic_group
 
@@ -111,6 +116,63 @@ class TestFiniteTables:
         code, out, err = run(capsys, ["cohom", "poincare", "--group", str(path), "--n", "2"])
         assert code == 3 and out == ""
         assert "resource guard" in err
+
+
+class TestUnprintableTables:
+    """An entry with more digits than ``sys.get_int_max_str_digits`` allows
+    is refused with exit 3 before the series is built."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cohom", "poincare", "--n", "3000"], "--n"),
+            (["cohom", "poincare", "--n", "20000"], "--n"),
+            (["assoc", "hilbert", "--n", "3", "--max-deg", "8000"], "--max-deg"),
+            (["assoc", "hilbert", "--n", "3", "--max-deg", "200000"], "--max-deg"),
+        ],
+        ids=["poincare-n3000", "poincare-n20000", "hilbert-deg8000", "hilbert-deg200000"],
+    )
+    def test_refused_with_exit_3_at_once(self, capsys, argv, flag):
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("no integer-string digit limit in this interpreter")
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--group", "C2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "resource guard" in err and f"lower {flag}" in err
+
+    def test_largest_printable_tables_still_print(self, capsys):
+        c2 = cyclic_group(2)
+        code, out, err = run(capsys, ["cohom", "poincare", "--group", "C2", "--n", "1200"])
+        assert (code, err) == (0, "")
+        assert out == f"{poincare_polynomial(CohomContext(c2, 1200))}\n"
+        argv = ["assoc", "hilbert", "--group", "C2", "--n", "3", "--max-deg", "2000"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == f"{hilbert_coefficients(AssocContext(c2, 3), 2000)}\n"
+
+    def test_no_refusal_without_a_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        cli._refuse_unprintable([10**9], "--n")
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        cli._refuse_unprintable([10**9], "--n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_refusal_implies_the_entry_cannot_print(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            refused = 0
+            for bits in range(2000, 2300):
+                try:
+                    cli._refuse_unprintable([bits], "--n")
+                except ResourceLimitError:
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        str(2**bits)
+            assert refused > 0
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestPoissonGradingConflict:

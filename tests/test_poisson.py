@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ocs import cli
 from ocs.groups import cyclic_group
 from ocs import lie as lie_mod
 from ocs import poisson as poisson_mod
@@ -195,6 +196,34 @@ class TestCounting:
             assert poisson_mod.basis_dimension(ctx, d) == len(
                 poisson_mod.enumerate_monomials(ctx, d)
             )
+
+    @pytest.mark.parametrize("order", [2, 3], ids=["C2", "C3"])
+    @pytest.mark.parametrize("k, q", [(2, 1), (3, 2), (2, 2)])
+    def test_one_series_gives_every_degree(self, order, k, q):
+        ctx = poisson_mod.PoissonContext(
+            cyclic_group(order), 3, poisson_mod.PoissonGrading(k, q)
+        )
+        dims = poisson_mod.basis_dimensions(ctx, 14)
+        assert dims == [poisson_mod.basis_dimension(ctx, d) for d in range(15)]
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            poisson_mod.basis_dimensions(ctx, -1)
+
+    def test_cli_dims_counts_each_bracket_length_once(self, monkeypatch, capsys):
+        lengths = []
+        count = lie_mod.graded_dimension
+
+        def counted(ctx, ell, group_order=None):
+            lengths.append(ell)
+            return count(ctx, ell, group_order=group_order)
+
+        monkeypatch.setattr(lie_mod, "graded_dimension", counted)
+        argv = ["poisson", "dims", "--group", "C2", "--n", "3", "--k", "2", "--q", "1"]
+        assert cli.main(argv + ["--max-deg", "40"]) == 0
+        grading = poisson_mod.PoissonGrading(2, 1)
+        bracket_lengths = sum(1 for m in range(1, 41) if grading.primitive_degree(m) <= 40)
+        assert bracket_lengths == 20
+        assert len(lengths) <= bracket_lengths
+        assert capsys.readouterr().out.splitlines()[-1].split()[0] == "40"
 
     def test_regrading_bookkeeping(self):
         g = poisson_mod.PoissonGrading(2, 1)
