@@ -82,6 +82,14 @@ def _refuse_unprintable(bits: Iterable[int], flag: str) -> None:
             )
 
 
+def _refuse_long_table(args) -> None:
+    """Refuse (exit 3) before any work a table of more than ``--max-basis`` entries."""
+    if args.max_deg >= args.max_basis:
+        raise ResourceLimitError(
+            f"{args.max_deg + 1} entries exceed --max-basis {args.max_basis}; lower --max-deg"
+        )
+
+
 def _format_terms(rows: List[dict]) -> List[str]:
     if not rows:
         return ["0"]
@@ -251,6 +259,7 @@ def _cmd_assoc(args) -> int:
         rows = expressions.assoc_jsonable(element)
         _emit(args, rows, _format_terms(rows))
         return 0
+    _refuse_long_table(args)
     order = _truncation_order(args, group)
     # the last coefficient is at least ((n-1)|G|)^max_deg
     ratio = (args.n - 1) * (order or group.order)
@@ -311,6 +320,7 @@ def _cmd_poisson(args) -> int:
         rows = expressions.poisson_jsonable(element)
         _emit(args, rows, _format_terms(rows))
         return 0
+    _refuse_long_table(args)
     pctx = poisson_mod.PoissonContext(
         group, args.n, poisson_mod.PoissonGrading(args.k, args.q)
     )

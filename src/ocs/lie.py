@@ -36,9 +36,9 @@ structure constants are integers, so coefficients are ints until a rational
 scalar brings in Fractions.  q only scales the degree 2q * (bracket length).
 
 Letters inside a block are ordered by (lower strand j, decoration uid);
-words are tuples of such letters.  An element is a ``sparse.Combination``
-keyed by (top index i, Lyndon word of block i) -- the same labels as the
-``poisson`` model's primitives; ``blocks`` groups its terms by top index.
+words are tuples of letters.  An element is a ``sparse.Combination`` keyed
+by (top index, Lyndon word), the labels of ``poisson`` primitives.  The one
+bracket loop, ``bracket_sum``, sums coef * [x, y] into one dict.
 """
 
 from __future__ import annotations
@@ -106,15 +106,20 @@ class LieContext:
     # -- bracket ---------------------------------------------------------
 
     def bracket(self, x: "LieElement", y: "LieElement") -> "LieElement":
-        self._check(x)
-        self._check(y)
+        return self.bracket_sum(((1, x, y),))
+
+    def bracket_sum(self, pairs) -> "LieElement":
+        """Sum of coef * [x, y] over (coef, x, y) triples, in one dict pruned once."""
         out: Terms = {}
-        for (p, wu), cu in x.terms.items():
-            for (r, wv), cv in y.terms.items():
-                block, words, sign = self.pair_bracket(p, wu, r, wv)
-                coef = sign * cu * cv
-                for w, c in words.items():
-                    out[block, w] = out.get((block, w), 0) + coef * c
+        for coef, x, y in pairs:
+            self._check(x)
+            self._check(y)
+            for (p, wu), cu in x.terms.items():
+                for (r, wv), cv in y.terms.items():
+                    block, words, sign = self.pair_bracket(p, wu, r, wv)
+                    scale = coef * sign * cu * cv
+                    for w, c in words.items():
+                        out[block, w] = out.get((block, w), 0) + scale * c
         return LieElement(self, out)
 
     def pair_bracket(self, p: int, wu: Word, r: int, wv: Word) -> Tuple[int, Dict[Word, int], int]:
@@ -312,11 +317,11 @@ def pure_braid_relations(
 
 
 def evaluate_relation(ctx: LieContext, terms) -> LieElement:
-    """Normal form of a relation instance produced by pure_braid_relations."""
-    out = ctx.zero()
-    for coef, (i, j, sigma), (s, t, tau) in terms:
-        out = out + ctx.bracket(ctx.generator(i, j, sigma), ctx.generator(s, t, tau)).scale(coef)
-    return out
+    """Normal form of a pure_braid_relations instance: one ``ctx.bracket_sum``."""
+    return ctx.bracket_sum(
+        (coef, ctx.generator(i, j, sigma), ctx.generator(s, t, tau))
+        for coef, (i, j, sigma), (s, t, tau) in terms
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ Internally everything is computed in the (k-1)-desuspended grading
 the bracket restricted to primitives is the plain Lie bracket of the
 ``lie`` module with its integer structure constants.  The Koszul signs of
 the printed axioms fall out of this one convention; the suites assert the
-printed exponents verbatim.  A primitive is a (top index, Lyndon word)
-label, the label of a ``lie`` element's terms, so ``from_lie`` wraps each
-term as a one-factor monomial.
+printed exponents verbatim.  A primitive is a ``lie`` term label, so
+``from_lie`` wraps each term as a one-factor monomial.  The one bracket
+loop, ``bracket_sum``, sums coef * L[x, y] into one dict.
 
 All primitives share the parity of k-1, so the underlying algebra is
 polynomial for odd k and exterior-like (odd squares vanish) for even k.
@@ -164,12 +164,17 @@ class PoissonContext:
     # -- the bracket ---------------------------------------------------------
 
     def bracket(self, x: "PoissonElement", y: "PoissonElement") -> "PoissonElement":
-        self._check(x)
-        self._check(y)
+        return self.bracket_sum(((1, x, y),))
+
+    def bracket_sum(self, pairs) -> "PoissonElement":
+        """Sum of coef * L[x, y] over (coef, x, y) triples, in one dict pruned once."""
         out: Terms = {}
-        for mu, cu in x.terms.items():
-            for mv, cv in y.terms.items():
-                add_into(out, self._bracket_monomials(mu, mv), cu * cv)
+        for coef, x, y in pairs:
+            self._check(x)
+            self._check(y)
+            for mu, cu in x.terms.items():
+                for mv, cv in y.terms.items():
+                    add_into(out, self._bracket_monomials(mu, mv), coef * cu * cv)
         return PoissonElement(self, out)
 
     def _bracket_monomials(self, left: Monomial, right: Monomial) -> Terms:

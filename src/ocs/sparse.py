@@ -11,9 +11,9 @@ build, which hold no zero coefficient, without a re-pruning copy
 and how one label prints.  ``StrandWordElement`` is the subclass whose
 labels are words of strand letters (i, j, uid), shared by the chord and
 cohomology algebras; ``StrandWordContext`` is their shared (group, n)
-context, with the one product (concatenate, then rewrite) and the one
-letter-substitution action ``substitute`` through which the chord
-algebra's group and symmetric-group actions are defined.
+context, with the one product loop ``product_sum`` (concatenate every
+pair, then rewrite once) and the one letter-substitution action
+``substitute``, through which the chord algebra's actions are defined.
 """
 
 from __future__ import annotations
@@ -187,14 +187,19 @@ class StrandWordContext:
             raise ValueError(self.mismatch)
 
     def _product(self, x, y):
-        """Every pair of words concatenated, then one ``rewrite``."""
-        self._check(x)
-        self._check(y)
+        return self.product_sum(((1, x, y),))
+
+    def product_sum(self, pairs):
+        """Sum of coef * x * y over (coef, x, y) triples: one ``rewrite``."""
         raw: Terms = {}
-        for wu, cu in x.terms.items():
-            for wv, cv in y.terms.items():
-                key = wu + wv
-                raw[key] = raw.get(key, 0) + cu * cv
+        for coef, x, y in pairs:
+            self._check(x)
+            self._check(y)
+            for wu, cu in x.terms.items():
+                scale = coef * cu
+                for wv, cv in y.terms.items():
+                    key = wu + wv
+                    raw[key] = raw.get(key, 0) + scale * cv
         return self.element(self, rewrite(raw, self.rewrite_pair))
 
     def substitute(self, x, letter_map: Callable[[tuple], tuple]):

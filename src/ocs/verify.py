@@ -314,9 +314,7 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     for perm in perms:
         images = {idx: ctx.act_symmetric(perm, g) for idx, g in generators.items()}
         for label, terms in relations:
-            mapped = ctx.zero()
-            for coef, a, b in terms:
-                mapped = mapped + ctx.bracket(images[a], images[b]).scale(coef)
+            mapped = ctx.bracket_sum((coef, images[a], images[b]) for coef, a, b in terms)
             rec.zero(mapped, "relation-image[{};{}]", perm, label)
     for trial in range(min(cfg.samples, 12)):
         perm = rng.choice(perms)
@@ -363,19 +361,16 @@ def suite_assoc(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         rec.check(set(degrees) <= want, sorted(want), degrees, "degree-additive[{}]", trial)
     # decorated pure-braid relations hold as commutators
     strands = range(1, cfg.n + 1)
-    for i in strands:
-        for j in strands:
-            for s in strands:
-                if len({i, j, s}) != 3:
-                    continue
-                for gamma in decorations:
-                    for delta in decorations:
-                        x = actx.generator(i, j, gamma)
-                        y = actx.generator(j, s, delta)
-                        z = actx.generator(i, s, group.multiply(gamma, delta))
-                        yz = y + z
-                        value = x * yz - yz * x
-                        rec.zero(value, "assoc-relation[{},{},{};{};{}]", i, j, s, gamma, delta)
+    pairs = itertools.permutations(strands, 2)
+    gens = {(i, j, g): actx.generator(i, j, g) for i, j in pairs for g in decorations}
+    for i, j, s in itertools.permutations(strands, 3):
+        for gamma in decorations:
+            for delta in decorations:
+                x = gens[i, j, gamma]
+                # gamma*delta can leave the ball of decorations, so z is built here
+                yz = gens[j, s, delta] + actx.generator(i, s, group.multiply(gamma, delta))
+                value = actx.product_sum(((1, x, yz), (-1, yz, x)))
+                rec.zero(value, "assoc-relation[{},{},{};{};{}]", i, j, s, gamma, delta)
     for trial in range(min(cfg.samples, 10)):
         x = random_lie_element(rng, lctx, decorations)
         y = random_lie_element(rng, lctx, decorations)

@@ -175,6 +175,36 @@ class TestUnprintableTables:
             sys.set_int_max_str_digits(limit)
 
 
+class TestLongTables:
+    """A table of more than ``--max-basis`` entries is refused with exit 3
+    before any work, even when every entry is small."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assoc", "hilbert", "--group", "trivial", "--n", "2", "--max-deg", "5000000"],
+            ["assoc", "hilbert", "--n", "3", "--max-deg", "10", "--max-basis", "10"],
+            ["poisson", "dims", "--n", "3", "--k", "2", "--q", "1", "--max-deg", "10",
+             "--max-basis", "10"],
+        ],
+        ids=["hilbert-trivial-n2", "hilbert-cap10", "poisson-cap10"],
+    )
+    def test_refused_with_exit_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "resource guard" in err and "lower --max-deg" in err
+
+    def test_tables_within_the_cap_still_print(self, capsys):
+        argv = ["assoc", "hilbert", "--group", "trivial", "--n", "2", "--max-deg", "2000"]
+        assert run(capsys, argv) == (0, f"{[1] * 2001}\n", "")
+        argv = ["assoc", "hilbert", "--n", "3", "--max-deg", "9", "--max-basis", "10"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == f"{hilbert_coefficients(AssocContext(cyclic_group(2), 3), 9)}\n"
+
+
 class TestPoissonGradingConflict:
     def _bracket(self, capsys, flags, header):
         doc = {"grading": header, "expr": GEN}

@@ -74,3 +74,28 @@ def test_forced_failure_report_digest(group, n, samples, digest, s3_spec, monkey
     if group == "S3":
         group = s3_spec
     assert report_digest(group, n, samples) == digest
+
+
+# S3 at n = 4 is the first nonabelian case with relations of type (a)
+# (disjoint strand pairs); at n = 3 there are none.
+S3_N4 = [
+    ("symmetric-action", 40, "472c0ac86b670bdfc199acebce79e0e7aeb8e5e8e046584c9e48785ada409649"),
+    ("lie-relations", 40, "52afaf41884c90c0aa52a5a207718688f5dcd9e3010b06a69634fad43677473b"),
+    ("poisson-axioms", 2, "2733cf2b719ec0a23c362c3d4d42897f099891a3339d26806cf9cb0c10167608"),
+]
+
+
+def suite_digest(suite: str, group: str, n: int, samples: int) -> str:
+    report = run_suite(suite, VerifyConfig(group=group, n=n, seed=42, samples=samples))
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("suite, samples, digest", S3_N4, ids=[s for s, _, _ in S3_N4])
+def test_s3_n4_suite_digest(suite, samples, digest, s3_spec):
+    assert suite_digest(suite, s3_spec, 4, samples) == digest
+
+
+def test_s3_n4_forced_failure_lie_relations_digest(s3_spec, monkeypatch):
+    monkeypatch.setattr(LieElement, "is_zero", lambda self: False)
+    digest = "12ebda503288f887e4fd2a1c3a6f94a2b0bada7170a62f18cb7f87feb16e446f"
+    assert suite_digest("lie-relations", s3_spec, 4, 40) == digest
