@@ -33,6 +33,7 @@ from .groups import (
     GroupElement,
     check_int_strands,
     decoration_order,
+    strand_letter_count,
     strand_letters,
     strand_pair,
     strand_permutation,
@@ -49,6 +50,7 @@ Terms = Dict[Word, Coef]
 class AssocElement(StrandWordElement):
     """Rational combination of canonical words, graded by word length."""
 
+    __slots__ = ()
     ctx: "AssocContext"
     terms: Terms
     symbol = "X"
@@ -173,16 +175,17 @@ class LambdaElement(Combination):
     """Integer combination of decoration n-tuples (the group ring Z[G^n]),
     acting on the algebra by slot-wise conjugation."""
 
+    __slots__ = ()
     ctx: AssocContext
     terms: Dict[Tuple[GroupElement, ...], int]
 
-    def __post_init__(self):
-        for tup in self.terms:
-            if len(tup) != self.ctx.n:
+    def __init__(self, ctx: AssocContext, terms: Dict[Tuple[GroupElement, ...], int]):
+        for tup in terms:
+            if len(tup) != ctx.n:
                 raise ValueError("tuple length must equal the strand count")
             for mu in tup:
-                self.ctx.group._check(mu)
-        super().__post_init__()
+                ctx.group._check(mu)
+        super().__init__(ctx, terms)
 
     def __mul__(self, other: "LambdaElement") -> "LambdaElement":
         other = self._operand(other)
@@ -276,15 +279,14 @@ def bruteforce_quotient_dimension(
     """Independent oracle: dimension of the degree-deg part of the free
     associative algebra on all generators modulo the two-sided ideal
     generated by the quadratic relations."""
-    letters = strand_letters(ctx.group, ctx.n)
+    size = strand_letter_count(ctx.group, ctx.n)
     if deg < 0:
         raise ValueError("degree must be >= 0")
     if deg > 3:
         raise ResourceLimitError("brute-force quotient is guarded to degree <= 3")
-    if len(letters) ** deg > max_basis:
-        raise ResourceLimitError(
-            f"free algebra basis {len(letters)}^{deg} exceeds cap {max_basis}"
-        )
+    if size**deg > max_basis:
+        raise ResourceLimitError(f"free algebra basis {size}^{deg} exceeds cap {max_basis}")
     if deg < 2:
-        return len(letters) ** deg
-    return quotient_dimension(len(letters) ** deg, relation_tensors(ctx), letters, deg)
+        return size**deg
+    letters = strand_letters(ctx.group, ctx.n)
+    return quotient_dimension(size**deg, relation_tensors(ctx), letters, deg)

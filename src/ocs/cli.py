@@ -82,11 +82,11 @@ def _refuse_unprintable(bits: Iterable[int], flag: str) -> None:
             )
 
 
-def _refuse_long_table(args) -> None:
+def _refuse_long_table(args, entries: int, flag: str) -> None:
     """Refuse (exit 3) before any work a table of more than ``--max-basis`` entries."""
-    if args.max_deg >= args.max_basis:
+    if entries > args.max_basis:
         raise ResourceLimitError(
-            f"{args.max_deg + 1} entries exceed --max-basis {args.max_basis}; lower --max-deg"
+            f"{entries} entries exceed --max-basis {args.max_basis}; lower {flag}"
         )
 
 
@@ -219,7 +219,13 @@ def _cmd_lie(args) -> int:
         return 0
     if args.subcommand == "dims":
         ctx = lie_mod.LieContext(group, args.n)
+        _refuse_long_table(args, args.max_len, "--max-len")
         order = _truncation_order(args, group)
+        # the last entry is at least m^max_len / (2 max_len), m = (n-1)|G|, once
+        # m^(max_len/2) >= 4 (the Lyndon count of the top block)
+        ratio = (args.n - 1) * (order or group.order)
+        bits = (ratio.bit_length() - 1) * args.max_len
+        _refuse_unprintable([-1 - args.max_len.bit_length(), bits], "--max-len")
         dims = [
             lie_mod.graded_dimension(ctx, ell, group_order=order)
             for ell in range(1, args.max_len + 1)
@@ -259,7 +265,7 @@ def _cmd_assoc(args) -> int:
         rows = expressions.assoc_jsonable(element)
         _emit(args, rows, _format_terms(rows))
         return 0
-    _refuse_long_table(args)
+    _refuse_long_table(args, args.max_deg + 1, "--max-deg")
     order = _truncation_order(args, group)
     # the last coefficient is at least ((n-1)|G|)^max_deg
     ratio = (args.n - 1) * (order or group.order)
@@ -320,7 +326,7 @@ def _cmd_poisson(args) -> int:
         rows = expressions.poisson_jsonable(element)
         _emit(args, rows, _format_terms(rows))
         return 0
-    _refuse_long_table(args)
+    _refuse_long_table(args, args.max_deg + 1, "--max-deg")
     pctx = poisson_mod.PoissonContext(
         group, args.n, poisson_mod.PoissonGrading(args.k, args.q)
     )

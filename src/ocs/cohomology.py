@@ -27,7 +27,13 @@ from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ResourceLimitError
-from .groups import GroupElement, check_int_strands, decoration_order, strand_letters
+from .groups import (
+    GroupElement,
+    check_int_strands,
+    decoration_order,
+    strand_letter_count,
+    strand_letters,
+)
 from .linalg import quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
 from .sparse import Coef, Step, StrandWordContext, StrandWordElement
 
@@ -39,6 +45,7 @@ Terms = Dict[Monomial, Coef]
 class CohomElement(StrandWordElement):
     """Rational combination of admissible monomials, graded by length."""
 
+    __slots__ = ()
     ctx: "CohomContext"
     terms: Terms
     symbol = "A"
@@ -131,18 +138,18 @@ def bruteforce_cohom_dimension(
     """Independent oracle: exact rank of the degree-deg quotient (deg <= 2)
     of the free anticommutative algebra on the degree-1 classes by
     relations (1)-(2)."""
-    gens = strand_letters(ctx.group, ctx.n)
+    n_gens = strand_letter_count(ctx.group, ctx.n)
     if deg < 0:
         raise ValueError("degree must be >= 0")
     if deg > 2:
         raise ResourceLimitError("the rank oracle is implemented for degree 2 only")
-    n_gens = len(gens)
     if comb(n_gens, deg) > max_basis:
         raise ResourceLimitError(
             f"wedge basis of size C({n_gens},{deg}) exceeds cap {max_basis}"
         )
     if deg < 2:
         return n_gens ** deg
+    gens = strand_letters(ctx.group, ctx.n)
     index = {g: a for a, g in enumerate(gens)}
 
     def wedges(pairs) -> Dict[Tuple[int, int], int]:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, ResourceLimitError
@@ -49,14 +48,25 @@ Payload = Tuple
 MAX_FINITE_ORDER = 512  # larger tables are refused; validation is n^2 log n
 
 
-@dataclass(frozen=True, eq=False)
 class GroupElement:
     """An interned group element; equality and hashing go through the uid,
-    so distinct spellings of one element compare equal once canonicalized."""
+    so distinct spellings of one element compare equal once canonicalized.
+    Frozen: its fields are set once, in ``__init__``."""
 
-    ctx: "GroupContext" = field(repr=False)
+    __slots__ = ("ctx", "payload", "uid")
+    ctx: "GroupContext"
     payload: Payload
     uid: int
+
+    def __init__(self, ctx: "GroupContext", payload: Payload, uid: int) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "uid", uid)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         return (
@@ -67,12 +77,6 @@ class GroupElement:
 
     def __hash__(self) -> int:
         return hash((id(self.ctx), self.uid))
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.ctx.multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.ctx.invert(self)
 
     def __str__(self) -> str:
         return self.ctx.format_element(self)
@@ -615,11 +619,18 @@ def load_group(name_or_path: str) -> GroupContext:
 # strand indices and letters, shared by every algebra layer
 
 
+def strand_letter_count(group: GroupContext, n: int) -> int:
+    """C(n, 2)·|G|, the length of ``strand_letters(group, n)``, without
+    building the letters, so that an oracle checks its cap first."""
+    if not group.is_finite:
+        raise ValueError("brute force and enumeration need a finite group")
+    return n * (n - 1) // 2 * group.order
+
+
 def strand_letters(group: GroupContext, n: int) -> List[Tuple[int, int, int]]:
     """The sorted letters (i, j, uid), n >= i > j >= 1, over a finite
     decoration group: the alphabet of the enumerators and rank oracles."""
-    if not group.is_finite:
-        raise ValueError("brute force and enumeration need a finite group")
+    strand_letter_count(group, n)  # refuses an infinite group
     return sorted(
         (i, j, el.uid) for i in range(2, n + 1) for j in range(1, i) for el in group.elements()
     )

@@ -52,6 +52,7 @@ from .groups import (
     GroupContext,
     GroupElement,
     decoration_order,
+    strand_letter_count,
     strand_letters,
     strand_pair,
     strand_permutation,
@@ -218,6 +219,7 @@ class LieElement(Combination):
     """Exact combination of blockwise Lyndon-basis words, keyed by
     (top index, word)."""
 
+    __slots__ = ()
     ctx: LieContext
     terms: Terms
 
@@ -228,9 +230,6 @@ class LieElement(Combination):
         for (i, w), c in self.terms.items():
             out.setdefault(i, {})[w] = c
         return out
-
-    def bracket(self, other: "LieElement") -> "LieElement":
-        return self.ctx.bracket(self, other)
 
     def sorted_terms(self) -> List[Tuple[Label, Coef]]:
         return sorted(self.terms.items(), key=lambda item: label_key(item[0]))
@@ -365,17 +364,16 @@ def bruteforce_dimension(ctx: LieContext, ell: int, max_basis: int = 200_000) ->
     """Independent oracle: rank-based dimension of the degree-ell part of
     the free Lie algebra on all generators modulo the Lie ideal generated
     by relations (a)-(c), in tensor coordinates over the full alphabet."""
-    letters = strand_letters(ctx.group, ctx.n)
+    size = strand_letter_count(ctx.group, ctx.n)
     if ell < 0:
         raise ValueError("bracket length must be >= 0")
     if ell > 3:
         raise ResourceLimitError("brute-force dimension is guarded to length <= 3")
-    if len(letters) ** ell > max_basis:
-        raise ResourceLimitError(
-            f"free algebra basis {len(letters)}^{ell} exceeds cap {max_basis}"
-        )
+    if size**ell > max_basis:
+        raise ResourceLimitError(f"free algebra basis {size}^{ell} exceeds cap {max_basis}")
     if ell < 2:
-        return len(letters) ** ell
+        return size**ell
+    letters = strand_letters(ctx.group, ctx.n)
     relations = [
         commutators((c, (i, j, a.uid), (s, t, b.uid)) for c, (i, j, a), (s, t, b) in terms)
         for _, terms in pure_braid_relations(ctx.n, ctx.group.elements(), ctx.group)

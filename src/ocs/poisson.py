@@ -27,7 +27,6 @@ basis labels and lowers k by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -41,16 +40,36 @@ Monomial = Tuple[Primitive, ...]  # sorted by label_key
 Terms = Dict[Monomial, Coef]
 
 
-@dataclass(frozen=True)
 class PoissonGrading:
+    """The (k, q) grading: frozen, equal and hashed by (k, q)."""
+
+    __slots__ = ("k", "q")
     k: int
     q: int
 
-    def __post_init__(self):
-        if not 1 < self.k < 2 * self.q + 1:
+    def __init__(self, k: int, q: int):
+        if not 1 < k < 2 * q + 1:
             raise ValueError(
-                f"need 1 < k < 2q+1 for a positive generator degree, got k={self.k}, q={self.q}"
+                f"need 1 < k < 2q+1 for a positive generator degree, got k={k}, q={q}"
             )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"PoissonGrading(k={self.k!r}, q={self.q!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.k, self.q) == (other.k, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.q))
 
     @property
     def generator_degree(self) -> int:
@@ -206,6 +225,7 @@ class PoissonElement(Combination):
     """Exact combination of sorted primitive monomials; elements over
     compatible contexts (same group, n and grading) compare and combine."""
 
+    __slots__ = ()
     ctx: PoissonContext
     terms: Terms
 
@@ -214,9 +234,6 @@ class PoissonElement(Combination):
 
     def __mul__(self, other: "PoissonElement") -> "PoissonElement":
         return self.ctx.multiply(self, other)
-
-    def bracket(self, other: "PoissonElement") -> "PoissonElement":
-        return self.ctx.bracket(self, other)
 
     def degree(self) -> Optional[int]:
         """Common degree of all monomials, or None if inhomogeneous/zero."""

@@ -18,7 +18,6 @@ pair, then rewrite once) and the one letter-substitution action
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
@@ -67,30 +66,35 @@ def rewrite(terms: Terms, rule: Callable[[Any, Any], Optional[Step]]) -> Terms:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class Combination:
     """Exact combination of basis labels over a context.  Zero coefficients
     are pruned on construction; ``+`` and ``-`` accept only operands that
     ``_operand`` accepts.  A subclass supplies ``sorted_terms()`` (canonical
-    order) and ``_label_repr(label)`` for the repr."""
+    order) and ``_label_repr(label)`` for the repr, and declares empty
+    ``__slots__`` so that its instances carry no ``__dict__``.  Frozen: the
+    fields are set once, through ``object.__setattr__``."""
 
+    __slots__ = ("ctx", "terms")
     ctx: Any
     terms: Terms
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", {k: c for k, c in self.terms.items() if c})
+    def __init__(self, ctx, terms: Terms):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
 
     @classmethod
     def _pruned(cls, ctx, terms: Terms):
         """Wrap, without copying, a fresh terms dict that has no zero
         coefficient; the public constructor prunes."""
         x = object.__new__(cls)
-        # frozen: set the fields directly, through object.__setattr__ rather
-        # than x.__dict__, which would materialize the instance dict and slow
-        # every later attribute read
         object.__setattr__(x, "ctx", ctx)
         object.__setattr__(x, "terms", terms)
         return x
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
 
     def _same_ctx(self, ctx) -> bool:
         return self.ctx is ctx
@@ -138,6 +142,8 @@ class StrandWordElement(Combination):
     """Combination of words of strand letters (i, j, uid), graded by word
     length; a subclass adds its product and the ``symbol`` that prints
     each letter."""
+
+    __slots__ = ()
 
     def sorted_terms(self) -> List[Tuple[Tuple, Coef]]:
         """Sorted by (length, top-index sequence, letters)."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import assoc as assoc_mod
@@ -24,16 +23,46 @@ from . import poisson as poisson_mod
 from .groups import GroupContext, GroupElement, SurfaceGroup, cyclic_group, load_group
 
 
-@dataclass
 class VerifyConfig:
-    group: str = "C2"
-    n: int = 3
-    q: int = 1
-    k: int = 2
-    seed: int = 0
-    radius: int = 1
-    samples: int = 40
-    max_basis: int = 200_000
+    """The options of a verify run; compared field by field, not hashable."""
+
+    __slots__ = ("group", "n", "q", "k", "seed", "radius", "samples", "max_basis")
+    group: str
+    n: int
+    q: int
+    k: int
+    seed: int
+    radius: int
+    samples: int
+    max_basis: int
+
+    def __init__(
+        self,
+        group: str = "C2",
+        n: int = 3,
+        q: int = 1,
+        k: int = 2,
+        seed: int = 0,
+        radius: int = 1,
+        samples: int = 40,
+        max_basis: int = 200_000,
+    ):
+        self.group, self.n, self.q, self.k = group, n, q, k
+        self.seed, self.radius, self.samples, self.max_basis = seed, radius, samples, max_basis
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        pairs = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VerifyConfig({', '.join(pairs)})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
 
     def build_group(self) -> GroupContext:
         return load_group(self.group)

@@ -9,11 +9,15 @@ import time
 
 import pytest
 
+from ocs import assoc as assoc_mod
 from ocs import cli
-from ocs.assoc import AssocContext, hilbert_coefficients
-from ocs.cohomology import CohomContext, poincare_polynomial
+from ocs import cohomology as cohom_mod
+from ocs import lie as lie_mod
+from ocs.assoc import AssocContext, bruteforce_quotient_dimension, hilbert_coefficients
+from ocs.cohomology import CohomContext, bruteforce_cohom_dimension, poincare_polynomial
 from ocs.errors import ResourceLimitError
 from ocs.groups import MAX_FINITE_ORDER, FiniteGroup, _is_associative, cyclic_group
+from ocs.lie import LieContext, bruteforce_dimension, graded_dimension
 
 GEN = {"gen": {"i": 2, "j": 1, "sigma": "e"}}
 
@@ -223,3 +227,68 @@ class TestPoissonGradingConflict:
         code, out, _ = self._bracket(capsys, ["--k", "2", "--q", "1"], {"k": 2, "q": 1})
         assert code == 0
         assert json.loads(out)[0]["degree"] == 1
+
+
+class TestLieTables:
+    """``lie dims`` has the two table refusals of ``assoc hilbert`` (exit 3
+    before any work), and ``lie bruteforce`` checks its cap before it builds
+    the alphabet."""
+
+    @pytest.mark.parametrize(
+        "argv, unprintable",
+        [
+            (["--group", "C2", "--n", "3", "--max-len", "8000"], True),
+            (["--group", "C2", "--n", "3", "--max-len", "200000"], True),
+            (["--group", "trivial", "--n", "2", "--max-len", "300000"], False),
+            (["--group", "C2", "--n", "3", "--max-len", "11", "--max-basis", "10"], False),
+        ],
+        ids=["len8000", "len200000", "trivial-n2-len300000", "cap10"],
+    )
+    def test_dims_refused_with_exit_3_at_once(self, capsys, argv, unprintable):
+        if unprintable and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("no integer-string digit limit in this interpreter")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["lie", "dims", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "resource guard" in err and "lower --max-len" in err
+
+    def test_dims_within_the_guards_still_print(self, capsys):
+        argv = ["lie", "dims", "--group", "C2", "--n", "3", "--max-len", "10", "--max-basis", "10"]
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        ctx = LieContext(cyclic_group(2), 3)
+        assert json.loads(out)["dims"] == [graded_dimension(ctx, ell) for ell in range(1, 11)]
+        argv = ["lie", "dims", "--group", "C2", "--n", "3", "--max-len", "3000", "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dims"][-1] == graded_dimension(ctx, 3000)
+
+    def test_bruteforce_cap_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["lie", "bruteforce", "--group", "C2", "--n", "4000",
+                                      "--max-len", "3"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "free algebra basis 15996000^1 exceeds cap 200000" in err
+
+    @pytest.mark.parametrize(
+        "oracle, message",
+        [
+            (lambda g: bruteforce_dimension(LieContext(g, 4000), 1),
+             r"^free algebra basis 15996000\^1 exceeds cap 200000$"),
+            (lambda g: bruteforce_quotient_dimension(AssocContext(g, 4000), 1),
+             r"^free algebra basis 15996000\^1 exceeds cap 200000$"),
+            (lambda g: bruteforce_cohom_dimension(CohomContext(g, 4000), 1),
+             r"^wedge basis of size C\(15996000,1\) exceeds cap 200000$"),
+        ],
+        ids=["lie", "chord", "cohom"],
+    )
+    def test_oracles_check_the_cap_before_the_letters(self, monkeypatch, oracle, message):
+        def refuse(group, n):
+            raise AssertionError("the letters were built before the cap")
+
+        for module in (lie_mod, assoc_mod, cohom_mod):
+            monkeypatch.setattr(module, "strand_letters", refuse)
+        with pytest.raises(ResourceLimitError, match=message):
+            oracle(cyclic_group(2))

@@ -52,3 +52,13 @@ def test_public_names_come_from_their_modules():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'NoSuchThing'"):
         ocs.NoSuchThing
+
+
+@pytest.mark.parametrize("statement", ["import ocs.cli", "from ocs import verify"])
+def test_entry_points_leave_dataclasses_and_inspect_unloaded(statement):
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 7 ms of
+    # every cold CLI request
+    loaded = json.loads(
+        _fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
+    )
+    assert "dataclasses" not in loaded and "inspect" not in loaded
