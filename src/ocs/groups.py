@@ -9,30 +9,36 @@ inversion, equality, canonical forms, and breadth-first balls.
 * ``LatticeGroup`` -- the free abelian group on two generators (genus 1).
 * ``SurfaceGroup`` -- the one-relator presentation
   < a1, b1, .., ag, bg | [a1,b1]...[ag,bg] > for genus g >= 2.  Words are
-  kept freely reduced and Dehn-reduced: any subword matching more than half
-  of a cyclic conjugate of the relator (or its inverse) is replaced by the
-  inverse of the complement, which strictly shortens the word.  The
-  presentation is C'(1/6) small cancellation, so by Greendlinger's lemma a
-  nonempty Dehn-reduced word is never trivial; this decides the word
-  problem.
+  kept freely reduced and Dehn-reduced: the leftmost, then longest, subword
+  matching more than half of a cyclic conjugate of the relator (or its
+  inverse) is replaced by the inverse of the complement, which strictly
+  shortens the word.  The presentation is C'(1/6) small cancellation, so by
+  Greendlinger's lemma a nonempty Dehn-reduced word is never trivial; this
+  decides the word problem.
+
+Registry payloads are reduced, and so are their inverses (the matches are
+closed under inversion), so ``invert`` reduces nothing, letters are checked
+only where raw words enter (``canonicalize``, ``parse_element``,
+``is_trivial_word``), and a product of two reduced words can match only
+across the junction: it is cancelled there and scanned from 4g - 1 letters
+before it.  After a replacement the scan resumes 4g - 1 letters before the
+first changed letter, as an earlier match (at most 4g letters) would lie in
+the prefix already passed: each step is the one a rescan from the start
+would take, so every word is the same.
 
 Dehn-reduced words are not unique normal forms, so element identity goes
-through an interning registry: each equivalence class receives a stable
-integer uid (assigned deterministically, in the order classes are first
-seen), used for hashing and ordering by the algebra layers.  Registry
-lookups are cheap: the registry keeps one ``GroupElement`` per class, so a
-lookup returns the stored object instead of building one; candidate classes
-are bucketed by the abelianization image, and only same-bucket
-representatives are compared via the word problem.  ``multiply`` and
-``invert`` memoize their results per group, keyed by uid pair (or uid), so a
-repeated product costs one dict lookup; a miss reduces and interns exactly
-as before, so uid order and representative words do not depend on the memo.
-Elements refer to their group, so a dropped group is freed by the cyclic
-garbage collector rather than at once.
+through an interning registry that keeps one ``GroupElement`` per class,
+with a stable integer uid in the order classes are first seen.  Classes are
+bucketed by their abelianization, and only same-bucket representatives are
+compared via the word problem.  ``multiply`` and ``invert`` memoize per
+group by uid pair (or uid); a miss interns the same way, so uids and
+representatives do not depend on the memo.  ``enumerate_ball`` keeps its
+spheres and extends them for a larger radius; a sphere refused by
+``max_size`` is not kept.  Elements refer to their group, so a dropped
+group is freed by the cyclic garbage collector.
 
-Contexts are mutable only through the interning registry and the product
-and inverse memo, and are not synchronized; confine each context to a
-single thread.
+Contexts mutate only their registry, memo and kept spheres, and are not
+synchronized; confine each context to a single thread.
 """
 
 from __future__ import annotations
@@ -95,16 +101,23 @@ class GroupContext:
         self._elements: List[GroupElement] = []  # one element per uid
         self._product_memo: Dict[Tuple[int, int], GroupElement] = {}
         self._inverse_memo: Dict[int, GroupElement] = {}
+        self._spheres: List[List[GroupElement]] = []  # kept by enumerate_ball
 
     # -- backend hooks -------------------------------------------------
 
     def _reduce(self, payload: Payload) -> Payload:
+        """Validate a raw payload and reduce it."""
         raise NotImplementedError
 
     def _mul_payload(self, a: Payload, b: Payload) -> Payload:
         raise NotImplementedError
 
+    def _product_payload(self, a: Payload, b: Payload) -> Payload:
+        """The reduced payload of a·b, for reduced payloads a and b."""
+        return self._reduce(self._mul_payload(a, b))
+
     def _inv_payload(self, a: Payload) -> Payload:
+        """The reduced inverse of a reduced payload."""
         raise NotImplementedError
 
     def _identity_payload(self) -> Payload:
@@ -119,23 +132,18 @@ class GroupContext:
     def _payload_key(self, payload: Payload):
         raise NotImplementedError
 
-    def _find_equal_uid(self, payload: Payload) -> Optional[int]:
-        # payloads are unique per class unless a backend overrides this
-        return None
-
-    def _register(self, payload: Payload, uid: int) -> None:
-        pass
+    def _class_uid(self, payload: Payload, fresh: int) -> int:
+        """The uid of an interned class equal to a new reduced payload, else ``fresh``."""
+        return fresh
 
     # -- interning -----------------------------------------------------
 
     def _intern(self, payload: Payload) -> GroupElement:
         uid = self._uid_by_payload.get(payload)
         if uid is None:
-            uid = self._find_equal_uid(payload)
-            if uid is None:
-                uid = len(self._elements)
+            uid = self._class_uid(payload, len(self._elements))
+            if uid == len(self._elements):
                 self._elements.append(GroupElement(self, payload, uid))
-                self._register(payload, uid)
             self._uid_by_payload[payload] = uid
         return self._elements[uid]
 
@@ -165,7 +173,7 @@ class GroupContext:
         key = (x.uid, y.uid)
         z = self._product_memo.get(key)
         if z is None:
-            z = self._intern(self._reduce(self._mul_payload(x.payload, y.payload)))
+            z = self._intern(self._product_payload(x.payload, y.payload))
             self._product_memo[key] = z
         return z
 
@@ -173,7 +181,7 @@ class GroupContext:
         self._check(x)
         z = self._inverse_memo.get(x.uid)
         if z is None:
-            z = self._intern(self._reduce(self._inv_payload(x.payload)))
+            z = self._intern(self._inv_payload(x.payload))
             self._inverse_memo[x.uid] = z
         return z
 
@@ -189,28 +197,27 @@ class GroupContext:
         if not isinstance(x, GroupElement) or x.ctx is not self:
             raise ValueError("group backend mismatch")
 
-    def enumerate_ball(
-        self, radius: int, max_size: Optional[int] = None
-    ) -> List[GroupElement]:
+    def enumerate_ball(self, radius: int, max_size: Optional[int] = None) -> List[GroupElement]:
         """All elements of word length <= radius, sorted by (length, word).
 
         Breadth-first over the generator set with registry deduplication;
-        new classes at each depth are interned in sorted order.
+        new classes at each depth are interned in sorted order.  Spheres are
+        kept and extended by a larger radius; an empty one ends a finite ball.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        ident = self.identity()
-        ball = [ident]
-        seen = {ident.uid}
-        frontier = [ident]
-        gens = [self._intern(self._reduce(p)) for p in self._generator_payloads()]
-        for _ in range(radius):
+        spheres = self._spheres
+        if not spheres:
+            spheres.append([self.identity()])
+        gens = [self._intern(p) for p in self._generator_payloads()]
+        ball = [x for sphere in spheres[: radius + 1] for x in sphere]
+        seen = {x.uid for x in ball}  # the whole kept ball whenever it is extended
+        refusal = f"ball exceeds the configured cap of {max_size} elements"
+        if max_size is not None and len(ball) > max(max_size, 1):
+            raise ResourceLimitError(refusal)  # a kept sphere past the cap, as when it was built
+        while len(spheres) <= radius and spheres[-1]:
             candidates = sorted(
-                {
-                    self._reduce(self._mul_payload(x.payload, g.payload))
-                    for x in frontier
-                    for g in gens
-                },
+                {self._product_payload(x.payload, g.payload) for x in spheres[-1] for g in gens},
                 key=lambda p: (self._length(p), self._payload_key(p)),
             )
             new: List[GroupElement] = []
@@ -220,13 +227,9 @@ class GroupContext:
                     seen.add(el.uid)
                     new.append(el)
                     if max_size is not None and len(ball) + len(new) > max_size:
-                        raise ResourceLimitError(
-                            f"ball exceeds the configured cap of {max_size} elements"
-                        )
-            if not new:
-                break
+                        raise ResourceLimitError(refusal)
+            spheres.append(new)
             ball.extend(new)
-            frontier = new
         return ball
 
     def parse_element(self, text: str) -> GroupElement:
@@ -418,6 +421,17 @@ def _inverse_word(word: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-letter for letter in reversed(word))
 
 
+def _join(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The free reduction of a·b for freely reduced a and b, cancelled at the
+    junction only, and the length of the part of a that survives."""
+    cut = len(a)
+    for letter in b:
+        if not cut or a[cut - 1] != -letter:
+            break
+        cut -= 1
+    return a[:cut] + b[len(a) - cut :], cut
+
+
 _SURFACE_TOKEN = re.compile(r"([ab])(\d+)(\^-1)?")
 
 
@@ -431,11 +445,7 @@ class SurfaceGroup(GroupContext):
             raise ValueError("surface genus must be >= 2")
         super().__init__()
         self.genus = genus
-        relator: List[int] = []
-        for i in range(1, genus + 1):
-            a, b = 2 * i - 1, 2 * i
-            relator += [a, b, -a, -b]
-        self.relator = tuple(relator)
+        self.relator = tuple(x for b in range(2, 2 * genus + 1, 2) for x in (b - 1, b, 1 - b, -b))
         self._half = 2 * genus  # half the relator length 4g
         self._table = self._build_dehn_table()
         self._buckets: Dict[Tuple[int, ...], List[int]] = {}
@@ -450,36 +460,35 @@ class SurfaceGroup(GroupContext):
             for shift in range(full):
                 rot = base[shift:] + base[:shift]
                 for ln in range(self._half + 1, full + 1):
-                    sub = rot[:ln]
-                    if sub not in table:
-                        table[sub] = _inverse_word(rot[ln:])
+                    table.setdefault(rot[:ln], _inverse_word(rot[ln:]))
         return table
 
     def _reduce(self, payload):
-        word = _free_reduce(self._validate_letters(payload))
-        full = len(self.relator)
-        while True:
-            hit = None
-            for pos in range(len(word)):
-                top = min(full, len(word) - pos)
-                for ln in range(top, self._half, -1):
-                    repl = self._table.get(word[pos : pos + ln])
-                    if repl is not None:
-                        hit = (pos, ln, repl)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                return word
-            pos, ln, repl = hit
-            word = _free_reduce(word[:pos] + repl + word[pos + ln :])
-
-    def _validate_letters(self, payload) -> Tuple[int, ...]:
-        limit = 2 * self.genus
         for letter in payload:
-            if not isinstance(letter, int) or letter == 0 or abs(letter) > limit:
+            if not isinstance(letter, int) or letter == 0 or abs(letter) > self._half:
                 raise ParseError(f"letter {letter!r} is not valid for genus {self.genus}")
-        return tuple(payload)
+        return self._dehn(_free_reduce(payload))
+
+    def _product_payload(self, a, b):
+        word, cut = _join(a, b)
+        return self._dehn(word, max(0, cut - len(self.relator) + 1))
+
+    def _dehn(self, word: Tuple[int, ...], pos: int = 0) -> Tuple[int, ...]:
+        """Dehn-reduce a freely reduced word with no match before ``pos``.  The
+        keys are closed under prefixes longer than 2g, so a position without a
+        (2g + 1)-letter key has no match, and extending one finds the longest."""
+        table, full, half = self._table, len(self.relator), self._half
+        while pos < len(word) - half:
+            end = pos + half + 1
+            if word[pos:end] not in table:
+                pos += 1
+                continue
+            while end < min(pos + full, len(word)) and word[pos : end + 1] in table:
+                end += 1
+            head, cut = _join(word[:pos], table[word[pos:end]])
+            word, cut2 = _join(head, word[end:])
+            pos = max(0, min(cut, cut2) - full + 1)
+        return word
 
     def _mul_payload(self, a, b):
         return a + b
@@ -491,19 +500,13 @@ class SurfaceGroup(GroupContext):
         return ()
 
     def _generator_payloads(self):
-        out = []
-        for idx in range(1, 2 * self.genus + 1):
-            out.append((idx,))
-            out.append((-idx,))
-        return out
+        return [(sign * idx,) for idx in range(1, self._half + 1) for sign in (1, -1)]
 
     def _length(self, payload):
         return len(payload)
 
     def _payload_key(self, payload):
-        return tuple(
-            (abs(letter) * 2 + (0 if letter > 0 else 1)) for letter in payload
-        )
+        return tuple(abs(letter) * 2 + (letter < 0) for letter in payload)
 
     def _abelianized(self, payload) -> Tuple[int, ...]:
         counts = [0] * (2 * self.genus)
@@ -511,14 +514,13 @@ class SurfaceGroup(GroupContext):
             counts[abs(letter) - 1] += 1 if letter > 0 else -1
         return tuple(counts)
 
-    def _find_equal_uid(self, payload):
-        for uid in self._buckets.get(self._abelianized(payload), []):
-            if not self._reduce(payload + _inverse_word(self._elements[uid].payload)):
+    def _class_uid(self, payload, fresh):
+        bucket = self._buckets.setdefault(self._abelianized(payload), [])
+        for uid in bucket:
+            if not self._product_payload(payload, _inverse_word(self._elements[uid].payload)):
                 return uid
-        return None
-
-    def _register(self, payload, uid):
-        self._buckets.setdefault(self._abelianized(payload), []).append(uid)
+        bucket.append(fresh)
+        return fresh
 
     def is_trivial_word(self, raw: Iterable[int]) -> bool:
         """Word problem on raw letter sequences, without interning."""
@@ -535,9 +537,7 @@ class SurfaceGroup(GroupContext):
                 raise ParseError(f"unknown letter {token!r}")
             idx = int(m.group(2))
             if not 1 <= idx <= self.genus:
-                raise ParseError(
-                    f"letter index {idx} exceeds genus {self.genus} in {token!r}"
-                )
+                raise ParseError(f"letter index {idx} exceeds genus {self.genus} in {token!r}")
             letter = 2 * idx - 1 if m.group(1) == "a" else 2 * idx
             letters.append(-letter if m.group(3) else letter)
         return self.canonicalize(letters)

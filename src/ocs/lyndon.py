@@ -86,10 +86,13 @@ def lyndon_count(alphabet_size: int, length: int) -> int:
     """Number of Lyndon words of the given length (necklace / Witt formula)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    total = 0
-    for d in range(1, length + 1):
+    total, d = 0, 1
+    while d * d <= length:  # divisors in pairs (d, length // d)
         if length % d == 0:
             total += _mobius(d) * alphabet_size ** (length // d)
+            if d * d != length:
+                total += _mobius(length // d) * alphabet_size ** d
+        d += 1
     assert total % length == 0
     return total // length
 

@@ -20,6 +20,7 @@ from . import assoc as assoc_mod
 from . import cohomology as cohom_mod
 from . import lie as lie_mod
 from . import poisson as poisson_mod
+from .errors import ResourceLimitError
 from .groups import GroupContext, GroupElement, SurfaceGroup, cyclic_group, load_group
 
 
@@ -76,6 +77,21 @@ def _decorations(cfg: VerifyConfig, group: GroupContext) -> List[GroupElement]:
     if group.is_finite:
         return group.elements()
     return group.enumerate_ball(cfg.radius)
+
+
+def _relation_budget(
+    cfg: VerifyConfig, decorations: Sequence[GroupElement], images: int = 1
+) -> None:
+    """Refuse, before any relation is built, a suite whose decorated relation
+    checks would exceed ``max_basis``: C(n,2)·C(n-2,2)/2 disjoint and
+    2·C(n,3) triangle instances per pair of decorations, ``images`` times."""
+    n = cfg.n
+    instances = n * (n - 1) * (n - 2) * (n - 3) // 8 + n * (n - 1) * (n - 2) // 3
+    count = instances * len(decorations) ** 2 * images
+    if count > cfg.max_basis:
+        raise ResourceLimitError(
+            f"{count} relation checks exceed the cap {cfg.max_basis}; lower --n"
+        )
 
 
 def _second_group(
@@ -276,6 +292,7 @@ def suite_lie_relations(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     group = cfg.build_group()
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
     decorations = _decorations(cfg, group)
+    _relation_budget(cfg, decorations)
     for label, terms in lie_mod.pure_braid_relations(cfg.n, decorations, group):
         rec.zero(lie_mod.evaluate_relation(ctx, terms), "{}", label)
     return rec.result()
@@ -334,6 +351,7 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     actx = assoc_mod.AssocContext(group, cfg.n)
     decorations = _decorations(cfg, group)
     perms = list(itertools.islice(itertools.permutations(range(1, cfg.n + 1)), 24))
+    _relation_budget(cfg, decorations, len(perms))
     trivial_tuple = tuple(group.identity() for _ in range(cfg.n))
 
     relations = list(lie_mod.pure_braid_relations(cfg.n, decorations, group))
@@ -475,6 +493,7 @@ def suite_poisson_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
     pctx = poisson_mod.PoissonContext(group, cfg.n, grading)
     decorations = _decorations(cfg, group)
+    _relation_budget(cfg, decorations)
     shift = grading.shift
 
     pool = {}

@@ -292,3 +292,41 @@ class TestLieTables:
             monkeypatch.setattr(module, "strand_letters", refuse)
         with pytest.raises(ResourceLimitError, match=message):
             oracle(cyclic_group(2))
+
+
+class TestVerifyCaseBudget:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_the_closed_form_counts_every_relation_instance(self, n, order):
+        from ocs.verify import VerifyConfig, _relation_budget
+
+        group = cyclic_group(order)
+        count = len(list(lie_mod.pure_braid_relations(n, group.elements(), group)))
+        _relation_budget(VerifyConfig(n=n, max_basis=count), group.elements())
+        if count:
+            with pytest.raises(ResourceLimitError, match=f"^{count} relation checks"):
+                _relation_budget(VerifyConfig(n=n, max_basis=count - 1), group.elements())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lie-relations", "--group", "C2", "--n", "300"],
+            ["symmetric-action", "--group", "C2", "--n", "40", "--samples", "1"],
+            ["poisson-axioms", "--group", "C2", "--n", "60", "--samples", "0"],
+        ],
+        ids=["lie-relations", "symmetric-action", "poisson-axioms"],
+    )
+    def test_oversized_suites_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify"] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "exceed the cap 200000; lower --n" in err
+
+    def test_symmetric_action_counts_each_permutation(self, capsys):
+        # C2 at n = 4: 44 relation instances, each mapped by all 24 permutations
+        argv = ["verify", "symmetric-action", "--group", "C2", "--n", "4", "--samples", "0"]
+        code, out, err = run(capsys, argv + ["--max-basis", str(44 * 24)])
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, argv + ["--max-basis", str(44 * 24 - 1)])
+        assert code == 3 and out == "" and "1056 relation checks" in err

@@ -27,6 +27,16 @@ def test_witt_counts_match_enumeration():
             assert lyndon.lyndon_count(size, ell) == len(words[ell])
 
 
+def test_witt_counts_match_the_sum_over_every_divisor():
+    # lyndon_count pairs each divisor d <= sqrt(length) with length // d;
+    # squares (4, 36, 144) must be counted once
+    for size in (1, 2, 3, 7):
+        for ell in range(1, 150):
+            divisors = [d for d in range(1, ell + 1) if ell % d == 0]
+            total = sum(lyndon._mobius(d) * size ** (ell // d) for d in divisors)
+            assert lyndon.lyndon_count(size, ell) == total // ell
+
+
 def test_necklace_examples():
     assert lyndon.lyndon_count(2, 2) == 1
     assert lyndon.lyndon_count(4, 2) == 6

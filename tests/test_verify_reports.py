@@ -99,3 +99,22 @@ def test_s3_n4_forced_failure_lie_relations_digest(s3_spec, monkeypatch):
     monkeypatch.setattr(LieElement, "is_zero", lambda self: False)
     digest = "12ebda503288f887e4fd2a1c3a6f94a2b0bada7170a62f18cb7f87feb16e446f"
     assert suite_digest("lie-relations", s3_spec, 4, 40) == digest
+
+
+# Genus 3: the 12-letter relator.  The forced-failure report prints group
+# elements and uid-ordered terms, so it pins the words and the uid order that
+# the Dehn reduction produces.
+def test_genus3_passing_report_digest():
+    digest = "b58503c95058258184d0a6304ef865cf006d819f87d6a366d82fa9cd4142af82"
+    assert report_digest("surface:3", 3, 0) == digest
+
+
+def test_genus3_forced_failure_report_digest(monkeypatch):
+    def fails(*args):
+        return False
+
+    monkeypatch.setattr(Combination, "is_zero", fails)
+    monkeypatch.setattr(LieElement, "is_zero", fails)
+    monkeypatch.setattr(GroupContext, "equals", fails)
+    digest = "6451c31eb52af2ce4e0fec6ce8272eb921856b9b739dee7cd5ce2b5c739510a9"
+    assert report_digest("surface:3", 3, 2) == digest
