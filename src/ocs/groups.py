@@ -82,7 +82,7 @@ class GroupElement:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ctx), self.uid))
+        return self.uid
 
     def __str__(self) -> str:
         return self.ctx.format_element(self)
@@ -448,7 +448,8 @@ class SurfaceGroup(GroupContext):
         self.relator = tuple(x for b in range(2, 2 * genus + 1, 2) for x in (b - 1, b, 1 - b, -b))
         self._half = 2 * genus  # half the relator length 4g
         self._table = self._build_dehn_table()
-        self._buckets: Dict[Tuple[int, ...], List[int]] = {}
+        # abelianization -> (uid, reduced inverse of its representative) per class
+        self._buckets: Dict[Tuple[int, ...], List[Tuple[int, Payload]]] = {}
 
     def _build_dehn_table(self) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
         """Map every cyclic subword longer than half the relator (over all
@@ -516,10 +517,10 @@ class SurfaceGroup(GroupContext):
 
     def _class_uid(self, payload, fresh):
         bucket = self._buckets.setdefault(self._abelianized(payload), [])
-        for uid in bucket:
-            if not self._product_payload(payload, _inverse_word(self._elements[uid].payload)):
+        for uid, inverse in bucket:
+            if not self._product_payload(payload, inverse):
                 return uid
-        bucket.append(fresh)
+        bucket.append((fresh, _inverse_word(payload)))
         return fresh
 
     def is_trivial_word(self, raw: Iterable[int]) -> bool:
@@ -650,8 +651,9 @@ def decoration_order(group: GroupContext, group_order: Optional[int], what: str)
 
 def check_int_strands(*indices) -> None:
     """Strand indices are ints; bools and floats are refused."""
-    if any(type(k) is not int for k in indices):
-        raise ValueError("strand indices must be ints")
+    for k in indices:
+        if type(k) is not int:
+            raise ValueError("strand indices must be ints")
 
 
 def strand_pair(

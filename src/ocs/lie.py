@@ -112,23 +112,32 @@ class LieContext:
     def bracket_sum(self, pairs) -> "LieElement":
         """Sum of coef * [x, y] over (coef, x, y) triples, in one dict pruned once."""
         out: Terms = {}
+        get, pair_bracket = out.get, self.pair_bracket
         for coef, x, y in pairs:
-            self._check(x)
-            self._check(y)
+            if not (
+                isinstance(x, LieElement) and x.ctx is self
+                and isinstance(y, LieElement) and y.ctx is self
+            ):
+                raise ValueError("lie context mismatch")
             for (p, wu), cu in x.terms.items():
                 for (r, wv), cv in y.terms.items():
-                    block, words, sign = self.pair_bracket(p, wu, r, wv)
+                    block, words, sign = pair_bracket(p, wu, r, wv)
                     scale = coef * sign * cu * cv
                     for w, c in words.items():
-                        out[block, w] = out.get((block, w), 0) + scale * c
+                        out[block, w] = get((block, w), 0) + scale * c
         return LieElement(self, out)
 
     def pair_bracket(self, p: int, wu: Word, r: int, wv: Word) -> Tuple[int, Dict[Word, int], int]:
         """[b(wu), b(wv)] = sign * terms in the given block, for Lyndon words wu
-        of block p and wv of block r; terms are memoized and must not be mutated."""
+        of block p and wv of block r; terms are memoized and must not be mutated.
+        A one-letter acting word goes straight to the letter derivation."""
         if p < r:
+            if len(wu) == 1:
+                return r, self._act_letter_word(p, wu[0], wv), 1
             return r, self._act_word_single(p, wu, wv), 1
         if p > r:
+            if len(wv) == 1:
+                return p, self._act_letter_word(r, wv[0], wu), -1
             return p, self._act_word_single(r, wv, wu), -1
         if wv < wu:
             return p, lyndon.lyndon_pair_bracket(wv, wu), -1

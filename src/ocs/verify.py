@@ -94,6 +94,29 @@ def _relation_budget(
         )
 
 
+def _cohom_budget(
+    cfg: VerifyConfig, group: GroupContext, decorations: Sequence[GroupElement]
+) -> None:
+    """Refuse, before any cup, a cohom suite whose prod_{i=2..n}(1 + (i-1)|G|)
+    admissible monomials (over a finite group, walked by the enumeration
+    checks) or whose C(n,2)·|decorations|² square-zero cups exceed
+    ``max_basis``.  The product stops once it passes the cap, so that its
+    message stays short whatever n is."""
+    n, cap = cfg.n, cfg.max_basis
+    if group.is_finite:
+        monomials = 1
+        for i in range(2, n + 1):
+            monomials *= 1 + (i - 1) * group.order
+            if monomials > cap:
+                raise ResourceLimitError(
+                    f"{monomials} admissible monomials on the first {i} strands "
+                    f"exceed the cap {cap}; lower --n"
+                )
+    cups = n * (n - 1) // 2 * len(decorations) ** 2
+    if cups > cap:
+        raise ResourceLimitError(f"{cups} square-zero cups exceed the cap {cap}; lower --n")
+
+
 def _second_group(
     cfg: VerifyConfig, decorations: Sequence[GroupElement]
 ) -> Tuple[GroupContext, Dict[GroupElement, GroupElement]]:
@@ -354,14 +377,22 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     _relation_budget(cfg, decorations, len(perms))
     trivial_tuple = tuple(group.identity() for _ in range(cfg.n))
 
-    relations = list(lie_mod.pure_braid_relations(cfg.n, decorations, group))
-    generators = {
-        idx: ctx.generator(*idx) for _, terms in relations for _, *pair in terms for idx in pair
-    }
+    # each generator index (i, j, sigma) gets a position, in the order first
+    # seen, so a permutation's images are a list read by position
+    position: Dict[tuple, int] = {}
+
+    def at(idx: tuple) -> int:
+        return position.setdefault(idx, len(position))
+
+    relations = [
+        (label, [(coef, at(a), at(b)) for coef, a, b in terms])
+        for label, terms in lie_mod.pure_braid_relations(cfg.n, decorations, group)
+    ]
+    generators = [ctx.generator(*idx) for idx in position]
     for perm in perms:
-        images = {idx: ctx.act_symmetric(perm, g) for idx, g in generators.items()}
+        images = [ctx.act_symmetric(perm, g) for g in generators]
         for label, terms in relations:
-            mapped = ctx.bracket_sum((coef, images[a], images[b]) for coef, a, b in terms)
+            mapped = ctx.bracket_sum([(coef, images[a], images[b]) for coef, a, b in terms])
             rec.zero(mapped, "relation-image[{};{}]", perm, label)
     for trial in range(min(cfg.samples, 12)):
         perm = rng.choice(perms)
@@ -454,6 +485,7 @@ def suite_cohom(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     group = cfg.build_group()
     cctx = cohom_mod.CohomContext(group, cfg.n)
     decorations = _decorations(cfg, group)
+    _cohom_budget(cfg, group, decorations)
 
     def random_class():
         i = rng.randint(2, cfg.n)

@@ -188,3 +188,30 @@ def test_ball_cap_refuses_a_kept_sphere():
         s.enumerate_ball(1, max_size=8)
     assert len(s.enumerate_ball(2, max_size=65)) == 65
     assert len(s.enumerate_ball(0, max_size=0)) == 1  # the identity alone is never refused
+
+
+def test_class_buckets_keep_each_representatives_inverse():
+    s = SurfaceGroup(2)
+    ball = s.enumerate_ball(4)
+    assert (len(ball), ball_digest(ball)) == GENUS2_BALLS[4]
+    entries = [entry for bucket in s._buckets.values() for entry in bucket]
+    assert sorted(uid for uid, _ in entries) == list(range(len(s._elements)))
+    for uid, inverse in entries:
+        assert inverse == reference_inverse(s.element_by_uid(uid).payload)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_respelled_elements_find_their_class(genus):
+    # a cyclic conjugate of the relator spliced into a reduced word gives
+    # another spelling of the same element; interning must find its class
+    s, rng = SurfaceGroup(genus), random.Random(genus)
+    ball = s.enumerate_ball(2)
+    size = len(s._elements)
+    full = len(s.relator)
+    for x in ball:
+        for _ in range(3):
+            base = s.relator if rng.random() < 0.5 else reference_inverse(s.relator)
+            shift, cut = rng.randrange(full), rng.randint(0, len(x.payload))
+            rot = base[shift:] + base[:shift]
+            assert s.canonicalize(x.payload[:cut] + rot + x.payload[cut:]) is x
+    assert len(s._elements) == size

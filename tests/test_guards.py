@@ -330,3 +330,55 @@ class TestVerifyCaseBudget:
         assert (code, err) == (0, "")
         code, out, err = run(capsys, argv + ["--max-basis", str(44 * 24 - 1)])
         assert code == 3 and out == "" and "1056 relation checks" in err
+
+
+class TestVerifyCohomBudget:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_the_counts_are_the_cups_and_the_walked_monomials(self, monkeypatch, n, order):
+        from ocs.verify import VerifyConfig, _cohom_budget, suite_cohom
+
+        group = cyclic_group(order)
+        cctx = CohomContext(group, n)
+        monomials = sum(cohom_mod.count_admissible(cctx, d) for d in range(n))
+        cups = n * (n - 1) // 2 * order**2
+        calls = []
+        cup = CohomContext.cup
+        monkeypatch.setattr(CohomContext, "cup", lambda self, x, y: calls.append(1) or cup(self, x, y))
+        monkeypatch.setattr(cohom_mod, "bruteforce_cohom_dimension", lambda *args, **kw: 0)
+        suite_cohom(VerifyConfig(group=f"C{order}" if order > 1 else "trivial", n=n, samples=0))
+        assert len(calls) == cups
+        cap = max(cups, monomials)
+        _cohom_budget(VerifyConfig(n=n, max_basis=cap), group, group.elements())
+        with pytest.raises(ResourceLimitError, match="; lower --n$"):
+            _cohom_budget(VerifyConfig(n=n, max_basis=cap - 1), group, group.elements())
+        with pytest.raises(ResourceLimitError, match=f"^{monomials} admissible monomials on"):
+            _cohom_budget(VerifyConfig(n=n, max_basis=monomials - 1), group, group.elements())
+        if cups > monomials:
+            with pytest.raises(ResourceLimitError, match=f"^{cups} square-zero cups"):
+                _cohom_budget(VerifyConfig(n=n, max_basis=cups - 1), group, group.elements())
+
+    @pytest.mark.parametrize("n", ["8", "300", str(10**4000)], ids=["8", "300", "10^4000"])
+    def test_refused_before_any_cup(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(CohomContext, "cup", None)  # any cup would raise TypeError
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", "cohom", "--group", "C2", "--n", n])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        want = "2027025 admissible monomials on the first 8 strands exceed the cap 200000; lower --n"
+        assert want in err and len(err) < 200
+
+    def test_square_zero_cups_counted_over_an_infinite_group(self, capsys):
+        # surface:2, radius 1: 9 decorations, C(3,2) strand pairs, 243 cups
+        argv = ["verify", "cohom", "--group", "surface:2", "--n", "3", "--samples", "0"]
+        code, out, err = run(capsys, argv + ["--max-basis", "243"])
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, argv + ["--max-basis", "242"])
+        assert code == 3 and out == ""
+        assert "243 square-zero cups exceed the cap 242; lower --n" in err
+
+    def test_largest_enumeration_within_the_cap_still_runs(self, capsys):
+        # C2 at n = 7 walks 135,135 admissible monomials
+        code, out, err = run(capsys, ["verify", "cohom", "--group", "C2", "--n", "7"])
+        assert (code, err) == (0, "")
+        assert '"failures": []' in out

@@ -84,6 +84,20 @@ def test_group_elements_compare_by_group_and_uid():
     assert g != other.elements()[1] and g != c2.elements()[0]
 
 
+def test_group_element_hash_contract():
+    # equal elements hash equal; a shared hash alone never makes keys collide
+    c2, other, surface = cyclic_group(2), cyclic_group(2), load_group("surface:2")
+    for x in c2.elements() + surface.enumerate_ball(1):
+        twin = GroupElement(x.ctx, x.payload, x.uid)
+        assert twin == x and hash(twin) == hash(x)
+        assert {x: "first"}[twin] == "first" and len({x, twin}) == 1
+    g, h, a = c2.elements()[1], other.elements()[1], surface.element_by_uid(1)
+    assert g.uid == h.uid == a.uid and g != h and g != a
+    keys = {g: "c2", h: "other", a: "surface", 1: "int"}
+    assert len(keys) == 4 and len({g, h, a, 1}) == 4
+    assert (keys[g], keys[h], keys[a], keys[1]) == ("c2", "other", "surface", "int")
+
+
 def test_combinations_refuse_hashing():
     for x in elements():
         with pytest.raises(TypeError, match="is not hashable"):

@@ -118,3 +118,43 @@ def test_genus3_forced_failure_report_digest(monkeypatch):
     monkeypatch.setattr(GroupContext, "equals", fails)
     digest = "6451c31eb52af2ce4e0fec6ce8272eb921856b9b739dee7cd5ce2b5c739510a9"
     assert report_digest("surface:3", 3, 2) == digest
+
+
+# ``symmetric-action`` alone at n = 3: the relation images, homomorphism,
+# composition and intertwining checks.  The passing reports pin the case
+# counts at every seed; the forced-failure reports pin every instance label
+# in the order the checks run.
+def symmetric_action_report(group: str, seed: int, samples: int) -> dict:
+    return run_suite("symmetric-action", VerifyConfig(group=group, n=3, seed=seed, samples=samples))
+
+
+def sha256_of(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_symmetric_action_digests_at_seeds_0_to_5(s3_spec):
+    c2 = "e7b112c2745bf1a98be89a111519533dc2083551f95bc7d30d38488b2c12de26"
+    s3 = "b2dc9950cc3b3c654e147dfba5edad18d6b09a01bdda0c3b564f56e759d97728"
+    for seed in range(6):
+        reports = [symmetric_action_report("C2", seed, 4), symmetric_action_report(s3_spec, seed, 0)]
+        assert [r["cases"] for r in reports] == [60, 432]
+        assert [sha256_of(r) for r in reports] == [c2, s3]
+
+
+@pytest.mark.parametrize(
+    "group, seed, samples, failures, want",
+    [
+        ("S3", 42, 0, 432, "35f42b1387b541c1087212169d395e2d5b9772b09a900698ee8a8ffbba01643e"),
+        ("C2", 3, 4, 56, "5113f83145f30954b8a15b52727648a83afa1756c88e95d276cba17e5bed5e86"),
+    ],
+    ids=["S3-samples0", "C2-samples4"],
+)
+def test_symmetric_action_forced_failure_digests(
+    group, seed, samples, failures, want, s3_spec, monkeypatch
+):
+    monkeypatch.setattr(LieElement, "is_zero", lambda self: False)
+    if group == "S3":
+        group = s3_spec
+    report = symmetric_action_report(group, seed, samples)
+    assert len(report["failures"]) == failures
+    assert sha256_of(report) == want
