@@ -28,9 +28,12 @@ would take, so every word is the same.
 
 Dehn-reduced words are not unique normal forms, so element identity goes
 through an interning registry that keeps one ``GroupElement`` per class,
-with a stable integer uid in the order classes are first seen.  Classes are
-bucketed by their abelianization, and only same-bucket representatives are
-compared via the word problem.  ``multiply`` and ``invert`` memoize per
+with a stable integer uid in the order classes are first seen.  An
+element hashes to its uid and compares by (group, uid), so elements of two
+groups never collide as keys.  Classes are bucketed by their
+abelianization, each with its representative's reduced inverse, and only
+same-bucket representatives are compared via the word problem (one
+product with that inverse).  ``multiply`` and ``invert`` memoize per
 group by uid pair (or uid); a miss interns the same way, so uids and
 representatives do not depend on the memo.  ``enumerate_ball`` keeps its
 spheres and extends them for a larger radius; a sphere refused by

@@ -192,8 +192,7 @@ def test_ball_cap_refuses_a_kept_sphere():
 
 def test_class_buckets_keep_each_representatives_inverse():
     s = SurfaceGroup(2)
-    ball = s.enumerate_ball(4)
-    assert (len(ball), ball_digest(ball)) == GENUS2_BALLS[4]
+    s.enumerate_ball(4)  # its (uid, payload) list is pinned by test_genus2_ball_digest[4]
     entries = [entry for bucket in s._buckets.values() for entry in bucket]
     assert sorted(uid for uid, _ in entries) == list(range(len(s._elements)))
     for uid, inverse in entries:
@@ -202,16 +201,21 @@ def test_class_buckets_keep_each_representatives_inverse():
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_respelled_elements_find_their_class(genus):
-    # a cyclic conjugate of the relator spliced into a reduced word gives
-    # another spelling of the same element; interning must find its class
+    # half a cyclic conjugate of the relator and the inverse of the other
+    # half are two Dehn-reduced spellings of one element, so the second word
+    # often reduces to a payload not yet seen and is matched in its bucket
     s, rng = SurfaceGroup(genus), random.Random(genus)
-    ball = s.enumerate_ball(2)
-    size = len(s._elements)
-    full = len(s.relator)
-    for x in ball:
-        for _ in range(3):
-            base = s.relator if rng.random() < 0.5 else reference_inverse(s.relator)
-            shift, cut = rng.randrange(full), rng.randint(0, len(x.payload))
-            rot = base[shift:] + base[:shift]
-            assert s.canonicalize(x.payload[:cut] + rot + x.payload[cut:]) is x
-    assert len(s._elements) == size
+    full, half = len(s.relator), len(s.relator) // 2
+    letters = [k for k in range(1, half + 1)] + [-k for k in range(1, half + 1)]
+    matched = 0
+    for _ in range(200):
+        base = s.relator if rng.random() < 0.5 else reference_inverse(s.relator)
+        shift = rng.randrange(full)
+        rot = base[shift:] + base[:shift]
+        u, v = (tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in "uv")
+        x = s.canonicalize(u + rot[:half] + v)
+        seen, size = len(s._uid_by_payload), len(s._elements)
+        assert s.canonicalize(u + reference_inverse(rot[half:]) + v) is x
+        assert len(s._elements) == size
+        matched += len(s._uid_by_payload) > seen
+    assert matched > 100

@@ -344,8 +344,12 @@ class TestVerifyCohomBudget:
         cups = n * (n - 1) // 2 * order**2
         calls = []
         cup = CohomContext.cup
-        monkeypatch.setattr(CohomContext, "cup", lambda self, x, y: calls.append(1) or cup(self, x, y))
-        monkeypatch.setattr(cohom_mod, "bruteforce_cohom_dimension", lambda *args, **kw: 0)
+
+        def counted(self, x, y):
+            calls.append(1)
+            return cup(self, x, y)
+
+        monkeypatch.setattr(CohomContext, "cup", counted)
         suite_cohom(VerifyConfig(group=f"C{order}" if order > 1 else "trivial", n=n, samples=0))
         assert len(calls) == cups
         cap = max(cups, monomials)
