@@ -37,8 +37,9 @@ product with that inverse).  ``multiply`` and ``invert`` memoize per
 group by uid pair (or uid); a miss interns the same way, so uids and
 representatives do not depend on the memo.  ``enumerate_ball`` keeps its
 spheres and extends them for a larger radius; a sphere refused by
-``max_size`` is not kept.  Elements refer to their group, so a dropped
-group is freed by the cyclic garbage collector.
+``max_size`` is not kept, and a surface ball is refused by the partial
+sums of its growth series before any product.  Elements refer to their
+group, so a dropped group is freed by the cyclic garbage collector.
 
 Contexts mutate only their registry, memo and kept spheres, and are not
 synchronized; confine each context to a single thread.
@@ -139,6 +140,11 @@ class GroupContext:
         """The uid of an interned class equal to a new reduced payload, else ``fresh``."""
         return fresh
 
+    def _ball_size(self, radius: int, cap: int) -> Optional[int]:
+        """The size of the ball of this radius, or a size past ``cap`` on the
+        way to it, where a closed form is known; else None."""
+        return None
+
     # -- interning -----------------------------------------------------
 
     def _intern(self, payload: Payload) -> GroupElement:
@@ -206,16 +212,20 @@ class GroupContext:
         Breadth-first over the generator set with registry deduplication;
         new classes at each depth are interned in sorted order.  Spheres are
         kept and extended by a larger radius; an empty one ends a finite ball.
+        A ball whose size ``_ball_size`` knows is refused before any product.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        refusal = f"ball exceeds the configured cap of {max_size} elements"
+        size = None if max_size is None else self._ball_size(radius, max_size)
+        if size is not None and size > max(max_size, 1):
+            raise ResourceLimitError(refusal)  # before any product
         spheres = self._spheres
         if not spheres:
             spheres.append([self.identity()])
         gens = [self._intern(p) for p in self._generator_payloads()]
         ball = [x for sphere in spheres[: radius + 1] for x in sphere]
         seen = {x.uid for x in ball}  # the whole kept ball whenever it is extended
-        refusal = f"ball exceeds the configured cap of {max_size} elements"
         if max_size is not None and len(ball) > max(max_size, 1):
             raise ResourceLimitError(refusal)  # a kept sphere past the cap, as when it was built
         while len(spheres) <= radius and spheres[-1]:
@@ -525,6 +535,22 @@ class SurfaceGroup(GroupContext):
                 return uid
         bucket.append((fresh, _inverse_word(payload)))
         return fresh
+
+    def _ball_size(self, radius, cap):
+        """Partial sums of Cannon's spherical growth series on the standard
+        generators, N(t)/D(t) with N = 1 + 2t + ... + 2t^{2g-1} + t^{2g} and
+        D = 1 - (4g-2)(t + ... + t^{2g-1}) + t^{2g}, stopped once past cap."""
+        half, spheres, total = self._half, [], 0
+        for k in range(radius + 1):
+            size = 1 if k in (0, half) else 2 if k < half else 0  # N's coefficient
+            size += (2 * half - 2) * sum(spheres[max(0, k - half + 1) :])
+            if k >= half:
+                size -= spheres[k - half]
+            spheres.append(size)
+            total += size
+            if total > cap:
+                break
+        return total
 
     def is_trivial_word(self, raw: Iterable[int]) -> bool:
         """Word problem on raw letter sequences, without interning."""

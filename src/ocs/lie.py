@@ -73,9 +73,9 @@ def label_key(label: Label) -> Tuple[int, int, Word]:
 
 
 # group -> n -> structure memo, shared by every q; holding no reference to
-# the group, it dies with it.  It maps derivation keys (s, act, w), whose
-# first entry is an int, and permutation-image keys (perm, i, w), whose first
-# entry is a tuple, so the two kinds never collide.
+# the group, it dies with it.  It has two key shapes: derivations
+# (s, act, w), an int and two Lyndon words, and permutation images
+# (perm, i, w), a tuple, an int and a word, so the two never collide.
 _STRUCTURES: "weakref.WeakKeyDictionary[GroupContext, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -129,71 +129,50 @@ class LieContext:
 
     def pair_bracket(self, p: int, wu: Word, r: int, wv: Word) -> Tuple[int, Dict[Word, int], int]:
         """[b(wu), b(wv)] = sign * terms in the given block, for Lyndon words wu
-        of block p and wv of block r; terms are memoized and must not be mutated.
-        A one-letter acting word goes straight to the letter derivation."""
+        of block p and wv of block r; terms are memoized and must not be mutated."""
         if p < r:
-            if len(wu) == 1:
-                return r, self._act_letter_word(p, wu[0], wv), 1
-            return r, self._act_word_single(p, wu, wv), 1
+            return r, self._act(p, wu, wv), 1
         if p > r:
-            if len(wv) == 1:
-                return p, self._act_letter_word(r, wv[0], wu), -1
-            return p, self._act_word_single(r, wv, wu), -1
+            return p, self._act(r, wv, wu), -1
         if wv < wu:
             return p, lyndon.lyndon_pair_bracket(wv, wu), -1
         return p, lyndon.lyndon_pair_bracket(wu, wv), 1
 
-    def _act_word(self, s: int, act: Word, target: Dict[Word, int]) -> Dict[Word, int]:
-        """ad(b(act)) applied to a combination in a higher block, where act
-        is a Lyndon word of block s.  Longer words act through commutators
-        of the letter derivations."""
-        out: Dict[Word, int] = {}
-        for w, c in target.items():
-            add_into(out, self._act_word_single(s, act, w), c)
-        return out
-
-    def _act_word_single(self, s: int, act: Word, w: Word) -> Dict[Word, int]:
-        if len(act) == 1:
-            return self._act_letter_word(s, act[0], w)
+    def _act(self, s: int, act: Word, w: Word) -> Dict[Word, int]:
+        """ad(b(act)) b(w), memoized, for a Lyndon word act of block s and w of
+        a higher block.  A letter acts on a letter by the derivation above and
+        on a longer w through its standard factorization; a longer act is the
+        commutator of its factors' actions."""
         key = (s, act, w)
         cached = self._deriv_cache.get(key)
         if cached is not None:
             return cached
-        u, v = lyndon.standard_factorization(act)
-        result = add_into(
-            self._act_word(s, u, self._act_word_single(s, v, w)),
-            self._act_word(s, v, self._act_word_single(s, u, w)),
-            -1,
-        )
-        self._deriv_cache[key] = result
-        return result
-
-    def _act_letter_word(self, s: int, letter: Letter, w: Word) -> Dict[Word, int]:
-        key = (s, letter, w)
-        cached = self._deriv_cache.get(key)
-        if cached is not None:
-            return cached
-        j_act, sig_uid = letter
-        if len(w) == 1:
-            m, tau_uid = w[0]
-            if m in (j_act, s):
-                tau = self.group.element_by_uid(tau_uid)
-                sig = self.group.element_by_uid(sig_uid)
-                if m == j_act:
-                    other = (s, self.group.multiply(tau, self.group.invert(sig)).uid)
-                else:
-                    other = (j_act, self.group.multiply(tau, sig).uid)
-                result = lyndon.free_lie_bracket({w: 1}, {(other,): 1})
-            else:
-                result = {}
-        else:
+        if len(act) > 1:
+            u, v = lyndon.standard_factorization(act)
+            uv: Dict[Word, int] = {}
+            vu: Dict[Word, int] = {}
+            for x, c in self._act(s, v, w).items():
+                add_into(uv, self._act(s, u, x), c)
+            for x, c in self._act(s, u, w).items():
+                add_into(vu, self._act(s, v, x), c)
+            result = add_into(uv, vu, -1)
+        elif len(w) > 1:
             u, v = lyndon.standard_factorization(w)
-            du = self._act_letter_word(s, letter, u)
-            dv = self._act_letter_word(s, letter, v)
+            du, dv = self._act(s, act, u), self._act(s, act, v)
             result = add_into(
-                lyndon.free_lie_bracket(du, {v: 1}),
-                lyndon.free_lie_bracket({u: 1}, dv),
+                lyndon.free_lie_bracket(du, {v: 1}), lyndon.free_lie_bracket({u: 1}, dv)
             )
+        else:
+            (j_act, sig_uid), (m, tau_uid) = act[0], w[0]
+            result = {}
+            if m in (j_act, s):
+                g = self.group
+                tau, sig = g.element_by_uid(tau_uid), g.element_by_uid(sig_uid)
+                if m == j_act:
+                    other = (s, g.multiply(tau, g.invert(sig)).uid)
+                else:
+                    other = (j_act, g.multiply(tau, sig).uid)
+                result = lyndon.free_lie_bracket({w: 1}, {(other,): 1})
         self._deriv_cache[key] = result
         return result
 
@@ -201,27 +180,33 @@ class LieContext:
 
     def act_symmetric(self, perm: Sequence[int], x: "LieElement") -> "LieElement":
         """Generator-wise action of a permutation of 1..n (image form:
-        perm[i-1] = gamma(i)), extended as a Lie homomorphism.  The image of
-        each basis word is memoized per (group, n); memoized images are only
-        read, into a fresh result."""
+        perm[i-1] = gamma(i)), extended as a Lie homomorphism; memoized
+        images are only read, into a fresh result."""
         self._check(x)
         perm = strand_permutation(perm, self.n)
-        memo = self._deriv_cache
         out: Terms = {}
         for (i, w), c in x.terms.items():
-            key = (perm, i, w)
-            image = memo.get(key)
-            if image is None:
-                image = memo[key] = self._map_word(perm, i, w).terms
-            add_into(out, image, c)
+            add_into(out, self._image(perm, i, w), c)
         return LieElement._pruned(self, out)
 
-    def _map_word(self, perm: Tuple[int, ...], i: int, w: Word) -> "LieElement":
-        if len(w) == 1:
-            j, uid = w[0]
-            return self.generator(perm[i - 1], perm[j - 1], self.group.element_by_uid(uid))
-        u, v = lyndon.standard_factorization(w)
-        return self.bracket(self._map_word(perm, i, u), self._map_word(perm, i, v))
+    def _image(self, perm: Tuple[int, ...], i: int, w: Word) -> Terms:
+        """The image of b(w) of block i, memoized per (group, n) like the
+        images of its sub-words: a letter maps to a generator, a longer word
+        to the bracket of its factors' images."""
+        key = (perm, i, w)
+        image = self._deriv_cache.get(key)
+        if image is None:
+            if len(w) == 1:
+                j, uid = w[0]
+                x = self.generator(perm[i - 1], perm[j - 1], self.group.element_by_uid(uid))
+            else:
+                u, v = lyndon.standard_factorization(w)
+                x = self.bracket(
+                    LieElement._pruned(self, self._image(perm, i, u)),
+                    LieElement._pruned(self, self._image(perm, i, v)),
+                )
+            image = self._deriv_cache[key] = x.terms
+        return image
 
 
 class LieElement(Combination):

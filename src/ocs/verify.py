@@ -76,7 +76,19 @@ def _rng(cfg: VerifyConfig, suite: str) -> random.Random:
 def _decorations(cfg: VerifyConfig, group: GroupContext) -> List[GroupElement]:
     if group.is_finite:
         return group.elements()
-    return group.enumerate_ball(cfg.radius)
+    return group.enumerate_ball(cfg.radius, max_size=cfg.max_basis)
+
+
+def _refuse_over(cap: int, count: int, what: str) -> None:
+    """Refuse a suite whose ``count`` of ``what`` exceeds ``cap``, naming --n.
+    A count of 19 digits or more is shown as a power of ten below it, so that
+    the message stays short whatever --n is."""
+    if count > cap:
+        if count < 10**18:
+            shown = str(count)
+        else:  # 0.30102 < log10(2), so 10^power < count
+            shown = f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
+        raise ResourceLimitError(f"{shown} {what} exceed the cap {cap}; lower --n")
 
 
 def _relation_budget(
@@ -88,10 +100,7 @@ def _relation_budget(
     n = cfg.n
     instances = n * (n - 1) * (n - 2) * (n - 3) // 8 + n * (n - 1) * (n - 2) // 3
     count = instances * len(decorations) ** 2 * images
-    if count > cfg.max_basis:
-        raise ResourceLimitError(
-            f"{count} relation checks exceed the cap {cfg.max_basis}; lower --n"
-        )
+    _refuse_over(cfg.max_basis, count, "relation checks")
 
 
 def _cohom_budget(
@@ -100,21 +109,44 @@ def _cohom_budget(
     """Refuse, before any cup, a cohom suite whose prod_{i=2..n}(1 + (i-1)|G|)
     admissible monomials (over a finite group, walked by the enumeration
     checks) or whose C(n,2)·|decorations|² square-zero cups exceed
-    ``max_basis``.  The product stops once it passes the cap, so that its
-    message stays short whatever n is."""
+    ``max_basis``.  The product stops once it passes the cap."""
     n, cap = cfg.n, cfg.max_basis
     if group.is_finite:
         monomials = 1
         for i in range(2, n + 1):
             monomials *= 1 + (i - 1) * group.order
-            if monomials > cap:
-                raise ResourceLimitError(
-                    f"{monomials} admissible monomials on the first {i} strands "
-                    f"exceed the cap {cap}; lower --n"
-                )
-    cups = n * (n - 1) // 2 * len(decorations) ** 2
-    if cups > cap:
-        raise ResourceLimitError(f"{cups} square-zero cups exceed the cap {cap}; lower --n")
+            _refuse_over(cap, monomials, f"admissible monomials on the first {i} strands")
+    _refuse_over(cap, n * (n - 1) // 2 * len(decorations) ** 2, "square-zero cups")
+
+
+def _assoc_budget(
+    cfg: VerifyConfig, actx: assoc_mod.AssocContext, decorations: Sequence[GroupElement]
+) -> None:
+    """Refuse, before any product, an assoc suite whose n(n-1)(n-2)·|decorations|²
+    relation products, plus over a finite group the canonical words of length
+    0..2 that the enumeration checks walk, exceed ``max_basis``."""
+    n, cap = cfg.n, cfg.max_basis
+    count = n * (n - 1) * (n - 2) * len(decorations) ** 2
+    if actx.group.is_finite and count <= cap:
+        count += sum(assoc_mod.hilbert_coefficients(actx, 2))
+    _refuse_over(cap, count, "relation products and canonical words")
+
+
+def _regrading_budget(cfg: VerifyConfig, group: GroupContext, gradings) -> None:
+    """Refuse, before any bracket, a regrading suite over a finite group whose
+    enumeration checks walk more than ``max_basis`` monomials: those of degree
+    1..3·generator_degree in each grading.  Each grading has the C(n,2)·|G|
+    generators among them, which are compared first, so that a large n is
+    refused before any series is summed."""
+    if not group.is_finite:
+        return
+    n, cap = cfg.n, cfg.max_basis
+    _refuse_over(cap, n * (n - 1) * group.order, "generators in the two gradings")
+    monomials = 0
+    for grading in gradings:
+        pctx = poisson_mod.PoissonContext(group, n, grading)
+        monomials += sum(poisson_mod.basis_dimensions(pctx, 3 * grading.generator_degree)[1:])
+    _refuse_over(cap, monomials, "monomials in the two gradings")
 
 
 def _second_group(
@@ -373,8 +405,8 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
     actx = assoc_mod.AssocContext(group, cfg.n)
     decorations = _decorations(cfg, group)
+    _relation_budget(cfg, decorations, (1, 1, 2, 6, 24)[min(cfg.n, 4)])  # min(n!, 24) images
     perms = list(itertools.islice(itertools.permutations(range(1, cfg.n + 1)), 24))
-    _relation_budget(cfg, decorations, len(perms))
     trivial_tuple = tuple(group.identity() for _ in range(cfg.n))
 
     # each generator index (i, j, sigma) gets a position, in the order first
@@ -422,6 +454,7 @@ def suite_assoc(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     actx = assoc_mod.AssocContext(group, cfg.n)
     lctx = lie_mod.LieContext(group, cfg.n, cfg.q)
     decorations = _decorations(cfg, group)
+    _assoc_budget(cfg, actx, decorations)
 
     def random_word(max_len=3):
         letters = []
@@ -628,6 +661,9 @@ def suite_regrading(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     rng = _rng(cfg, "regrading")
     group = cfg.build_group()
     decorations = _decorations(cfg, group)
+    grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
+    regraded = grading.regraded()
+    _regrading_budget(cfg, group, (grading, regraded))
     ctx1 = lie_mod.LieContext(group, cfg.n, q=1)
     # q=3 works over a second group object, so it shares no memo with q=1
     other, to_other = _second_group(cfg, decorations)
@@ -639,8 +675,6 @@ def suite_regrading(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         rec.check(x1.terms == x3.terms, x1.terms, x3.terms, "q-invariance[{}]", trial)
         scaled, degrees = [3 * d for d in x1.degrees()], x3.degrees()
         rec.check(scaled == degrees, scaled, degrees, "degree-scaling[{}]", trial)
-    grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
-    regraded = grading.regraded()
     before, after = grading.generator_degree, regraded.generator_degree
     rec.check(before == after, before, after, "regraded-generator-degree")
     if group.is_finite:

@@ -170,13 +170,41 @@ def test_kept_spheres_give_the_fresh_ball():
     assert len(s.enumerate_ball(3)) == len(ref)
 
 
-def test_ball_cap_refuses_where_the_sphere_is_built():
+def test_ball_cap_refuses_where_the_sphere_is_built(monkeypatch):
     s = SurfaceGroup(2)
     with pytest.raises(ResourceLimitError, match="cap of 10 elements"):
         s.enumerate_ball(2, max_size=10)
-    assert len(s._elements) == 11  # the 9-element ball, then two of sphere 2
+    assert len(s._elements) == 0  # the growth series refuses before any product
+    monkeypatch.setattr(SurfaceGroup, "_ball_size", lambda self, radius, cap: None)
+    with pytest.raises(ResourceLimitError, match="cap of 10 elements"):
+        s.enumerate_ball(2, max_size=10)
+    assert len(s._elements) == 11  # without it: the 9-element ball, then two of sphere 2
     assert len(s.enumerate_ball(1, max_size=9)) == 9
     assert ball_digest(s.enumerate_ball(2)) == GENUS2_BALLS[2][1]  # refused sphere not kept
+
+
+@pytest.mark.parametrize(
+    "genus, sizes",
+    [(2, [1, 9, 65, 457, 3193]), (3, [1, 13, 145, 1597]), (4, [1, 17, 257])],
+)
+def test_growth_series_gives_the_ball_sizes(genus, sizes):
+    s = SurfaceGroup(genus)
+    assert [s._ball_size(r, 10**9) for r in range(len(sizes))] == sizes
+    assert [len(s.enumerate_ball(r, max_size=size)) for r, size in enumerate(sizes)] == sizes
+    for r, size in enumerate(sizes[1:], 1):
+        fresh = SurfaceGroup(genus)
+        with pytest.raises(ResourceLimitError, match=f"cap of {size - 1} elements"):
+            fresh.enumerate_ball(r, max_size=size - 1)
+        assert not fresh._elements
+
+
+def test_growth_series_refuses_before_any_product():
+    s = SurfaceGroup(3)
+    assert s._ball_size(9, 10**12) == 2_829_468_985
+    assert SurfaceGroup(2)._ball_size(6, 10**12) == 155_577
+    with pytest.raises(ResourceLimitError, match="cap of 100 elements"):
+        s.enumerate_ball(9, max_size=100)
+    assert len(s._elements) <= 1  # nothing beyond the identity interned
 
 
 def test_ball_cap_refuses_a_kept_sphere():

@@ -386,3 +386,132 @@ class TestVerifyCohomBudget:
         code, out, err = run(capsys, ["verify", "cohom", "--group", "C2", "--n", "7"])
         assert (code, err) == (0, "")
         assert '"failures": []' in out
+
+
+HUGE_N = ["9223372036854775808", "1" * 1101]
+
+
+class TestBoundedRefusals:
+    def test_large_counts_are_shown_by_a_lower_power_of_ten(self):
+        from ocs.verify import _refuse_over
+
+        for count in [10**17, 10**18 - 1]:
+            want = f"^{count} things exceed the cap 5; lower --n$"
+            with pytest.raises(ResourceLimitError, match=want):
+                _refuse_over(5, count, "things")
+        for count in [10**18, 10**18 + 1, 2**64, 3**5000, 10**4400 - 1, 10**4400, 10**4400 + 1]:
+            with pytest.raises(ResourceLimitError) as info:
+                _refuse_over(5, count, "things")
+            shown = str(info.value)
+            assert shown.startswith("more than 10^")
+            assert shown.endswith(" things exceed the cap 5; lower --n")
+            power = int(shown[len("more than 10^") :].split()[0])
+            assert 10**power < count < 10 ** (power + 2)
+        _refuse_over(10**30, 10**30, "things")  # at the cap: accepted
+
+    @pytest.mark.parametrize("n", HUGE_N, ids=["2^63", "1101-digits"])
+    @pytest.mark.parametrize(
+        "suite", ["lie-relations", "symmetric-action", "poisson-axioms", "cohom"]
+    )
+    @pytest.mark.parametrize("group", ["C2", "surface:2"])
+    def test_huge_n_refused_at_once(self, capsys, monkeypatch, n, suite, group):
+        monkeypatch.setattr("itertools.permutations", None)  # no permutation pool is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", suite, "--group", group, "--n", n])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert len(err) < 200 and err.rstrip().endswith("; lower --n")
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_symmetric_action_budgets_the_permutations_it_uses(self, capsys, n):
+        argv = ["verify", "symmetric-action", "--group", "C2", "--n", str(n), "--samples", "0"]
+        code, out, err = run(capsys, argv + ["--max-basis", "10000"])
+        cases = json.loads(out)["cases"]  # one check per relation instance and permutation
+        group, perms = cyclic_group(2), 1
+        for k in range(2, n + 1):
+            perms *= k
+        relations = len(list(lie_mod.pure_braid_relations(n, group.elements(), group)))
+        assert (code, cases) == (0, relations * min(perms, 24))
+        assert run(capsys, argv + ["--max-basis", str(cases)])[0] == 0
+        if cases:
+            code, out, err = run(capsys, argv + ["--max-basis", str(cases - 1)])
+            assert code == 3 and out == "" and f"{cases} relation checks" in err
+
+
+class TestVerifyAssocRegradingBudget:
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_assoc_count_is_the_products_and_walked_words(self, monkeypatch, n, order):
+        from ocs.verify import VerifyConfig, _assoc_budget, suite_assoc
+
+        group = cyclic_group(order)
+        actx = AssocContext(group, n)
+        words = sum(assoc_mod.count_canonical_words(actx, d) for d in range(3))
+        sums = []
+        product_sum = AssocContext.product_sum
+
+        def counted(self, pairs):
+            sums.append(1)
+            return product_sum(self, pairs)
+
+        monkeypatch.setattr(AssocContext, "product_sum", counted)
+        spec = f"C{order}" if order > 1 else "trivial"
+        suite_assoc(VerifyConfig(group=spec, n=n, samples=0))
+        count = len(sums) + words
+        _assoc_budget(VerifyConfig(n=n, max_basis=count), actx, group.elements())
+        want = f"^{count} relation products and canonical words"
+        with pytest.raises(ResourceLimitError, match=want):
+            _assoc_budget(VerifyConfig(n=n, max_basis=count - 1), actx, group.elements())
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("spec", ["C2", "C3"])
+    def test_regrading_count_is_the_walked_monomials(self, monkeypatch, n, spec):
+        from ocs.verify import VerifyConfig, _regrading_budget, poisson_mod, suite_regrading
+
+        walked = []
+        enumerate_monomials = poisson_mod.enumerate_monomials
+
+        def counted(ctx, degree):
+            out = enumerate_monomials(ctx, degree)
+            walked.append(len(out))
+            return out
+
+        monkeypatch.setattr(poisson_mod, "enumerate_monomials", counted)
+        cfg = VerifyConfig(group=spec, n=n, samples=0)
+        suite_regrading(cfg)
+        grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
+        gradings, group = (grading, grading.regraded()), cfg.build_group()
+        count = sum(walked)
+        _regrading_budget(VerifyConfig(n=n, max_basis=count), group, gradings)
+        with pytest.raises(ResourceLimitError, match=f"^{count} monomials in the two gradings"):
+            _regrading_budget(VerifyConfig(n=n, max_basis=count - 1), group, gradings)
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["assoc", "--group", "C2", "--n", "300"], "106922400 relation products"),
+            (["assoc", "--group", "C2", "--n", "40"], "237120 relation products"),
+            (["assoc", "--group", "surface:2", "--n", HUGE_N[1]], "relation products"),
+            (["regrading", "--group", "C2", "--n", "20", "--samples", "1"], "18296050 monomials"),
+            (["regrading", "--group", "C2", "--n", "10"], "243675 monomials"),
+            (["regrading", "--group", "C2", "--n", HUGE_N[1]], "generators in the two gradings"),
+        ],
+        ids=["assoc-300", "assoc-40", "assoc-huge", "regr-20", "regr-10", "regr-huge"],
+    )
+    def test_refused_before_any_product(self, capsys, monkeypatch, argv, shown):
+        monkeypatch.setattr(AssocContext, "product_sum", None)  # any product would raise
+        monkeypatch.setattr(LieContext, "bracket_sum", None)  # and so would any bracket
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify"] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert shown in err and err.rstrip().endswith("exceed the cap 200000; lower --n")
+        assert len(err) < 200
+
+    def test_surface_decorations_use_the_ball_cap(self, capsys):
+        start = time.perf_counter()
+        argv = ["verify", "all", "--group", "surface:3", "--n", "3", "--radius", "9"]
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "ball exceeds the configured cap of 200000 elements" in err

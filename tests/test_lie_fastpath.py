@@ -116,6 +116,17 @@ def test_blocks_group_the_terms_by_top_index(make_group, n):
         assert x.blocks == want
 
 
+def _unmemoized_image(ctx, perm, i, w):
+    """The image of b(w) of block i, recomputed: a letter's image is a
+    generator, a longer word's the bracket of its standard factors' images."""
+    if len(w) == 1:
+        j, uid = w[0]
+        return ctx.generator(perm[i - 1], perm[j - 1], ctx.group.element_by_uid(uid))
+    v = min(w[k:] for k in range(1, len(w)))  # the least proper suffix
+    u = w[: len(w) - len(v)]
+    return ctx.bracket(_unmemoized_image(ctx, perm, i, u), _unmemoized_image(ctx, perm, i, v))
+
+
 @pytest.mark.parametrize("make_group, n", CASES, ids=IDS)
 def test_images_match_a_fresh_group_on_miss_and_hit(make_group, n):
     group, fresh = make_group(), make_group()
@@ -132,7 +143,7 @@ def test_images_match_a_fresh_group_on_miss_and_hit(make_group, n):
             # the unmemoized computation, word by word, on the other group
             want = ref.zero()
             for (i, w), c in x.terms.items():
-                want = want + ref._map_word(perm, i, w).scale(c)
+                want = want + _unmemoized_image(ref, perm, i, w).scale(c)
             assert miss.terms == hit.terms == want.terms
             assert ref.act_symmetric(perm, LieElement(ref, x.terms)).terms == want.terms
 
@@ -175,6 +186,52 @@ def test_image_memo_is_shared_across_q_and_freed_with_the_group():
     gc.collect()
     assert group_ref() is None
     assert len(lie_mod._STRUCTURES) == before - 1
+
+
+def _is_word(w):
+    return (
+        type(w) is tuple and w
+        and all(type(a) is tuple and len(a) == 2 and all(type(b) is int for b in a) for a in w)
+    )
+
+
+@pytest.mark.parametrize("group", ["C3", "surface:2"])
+def test_memo_holds_two_key_shapes_and_every_sub_image(monkeypatch, group):
+    contexts = []
+    original = LieContext.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(LieContext, "__init__", init)
+    cfg = VerifyConfig(group=group, n=3, seed=1, samples=4)
+    assert run_suite("symmetric-action", cfg)["failures"] == []
+    ctx = contexts[0]
+    memo = ctx._deriv_cache
+    perms = set(itertools.permutations((1, 2, 3)))
+    derivations = images = 0
+    for key in memo:
+        assert type(key) is tuple and len(key) == 3
+        first, second, w = key
+        assert _is_word(w)
+        if type(first) is int:
+            assert _is_word(second) and first < 3
+            derivations += 1
+        else:
+            assert first in perms and type(second) is int and 2 <= second <= 3
+            images += 1
+            if len(w) > 1:
+                v = min(w[k:] for k in range(1, len(w)))
+                u = w[: len(w) - len(v)]
+                assert (first, second, u) in memo and (first, second, v) in memo
+                want = ctx.bracket(
+                    LieElement(ctx, memo[first, second, u]),
+                    LieElement(ctx, memo[first, second, v]),
+                )
+                assert memo[key] == want.terms
+    assert derivations and images
+    assert any(len(w) > 1 for p, _, w in memo if type(p) is tuple)
 
 
 def test_a_wrong_memoized_image_fails_symmetric_action(monkeypatch):

@@ -74,21 +74,21 @@ class TestSharedStructure:
 
 
 def _skew_memoized_derivation(monkeypatch, skewed):
-    """Negate each freshly computed letter derivation of a generator when
+    """Negate each freshly computed action of a letter on a letter when
     skewed(ctx) holds: an error inside the memoized computation, which a
     check reading one shared memo on both sides cannot see."""
-    original = LieContext._act_letter_word
+    original = LieContext._act
 
-    def act(self, s, letter, w):
-        key = (s, letter, w)
+    def act(self, s, act_word, w):
+        key = (s, act_word, w)
         if key in self._deriv_cache:
             return self._deriv_cache[key]
-        result = original(self, s, letter, w)
-        if len(w) == 1 and skewed(self):
+        result = original(self, s, act_word, w)
+        if len(act_word) == len(w) == 1 and skewed(self):
             result = self._deriv_cache[key] = {u: -c for u, c in result.items()}
         return result
 
-    monkeypatch.setattr(LieContext, "_act_letter_word", act)
+    monkeypatch.setattr(LieContext, "_act", act)
 
 
 class TestVerifySidesIndependent:
