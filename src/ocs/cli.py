@@ -53,7 +53,7 @@ def _load_expr(args) -> object:
 
 def _truncation_order(args, group) -> Optional[int]:
     """Group order for counting commands: |G| when finite, otherwise the
-    size of the radius-r ball (explicit truncation required)."""
+    closed-form size of the radius-r ball (explicit truncation required)."""
     if group.is_finite:
         return None  # library defaults to the exact order
     if args.radius is None:
@@ -61,7 +61,7 @@ def _truncation_order(args, group) -> Optional[int]:
             "counting over an infinite group needs an explicit truncation: "
             "pass --radius R to count decorations in the radius-R ball"
         )
-    return len(group.enumerate_ball(args.radius, max_size=args.max_basis))
+    return group.ball_size(args.radius, args.max_basis)
 
 
 def _refuse_unprintable(bits: Iterable[int], flag: str) -> None:

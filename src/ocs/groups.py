@@ -2,13 +2,17 @@
 genus-g surface groups with the word problem solved by Dehn's algorithm.
 
 All algebra layers consume the same small interface: exact multiplication,
-inversion, equality, canonical forms, and breadth-first balls.
+inversion, equality, canonical forms, and breadth-first balls, whose exact
+sizes every backend knows:
 
 * ``FiniteGroup`` -- explicit multiplication table (order <= 512), fully
-  validated at load (closure, identity, inverses, Light's associativity test).
-* ``LatticeGroup`` -- the free abelian group on two generators (genus 1).
+  validated at load (closure, identity, inverses, Light's associativity test);
+  every other element is a generator, so a ball of radius >= 1 is the group.
+* ``LatticeGroup`` -- the free abelian group on two generators (genus 1),
+  with 2r(r + 1) + 1 elements in the ball of radius r.
 * ``SurfaceGroup`` -- the one-relator presentation
-  < a1, b1, .., ag, bg | [a1,b1]...[ag,bg] > for genus g >= 2.  Words are
+  < a1, b1, .., ag, bg | [a1,b1]...[ag,bg] > for genus g >= 2, whose ball
+  sizes are the partial sums of Cannon's growth series.  Words are
   kept freely reduced and Dehn-reduced: the leftmost, then longest, subword
   matching more than half of a cyclic conjugate of the relator (or its
   inverse) is replaced by the inverse of the complement, which strictly
@@ -36,10 +40,10 @@ same-bucket representatives are compared via the word problem (one
 product with that inverse).  ``multiply`` and ``invert`` memoize per
 group by uid pair (or uid); a miss interns the same way, so uids and
 representatives do not depend on the memo.  ``enumerate_ball`` keeps its
-spheres and extends them for a larger radius; a sphere refused by
-``max_size`` is not kept, and a surface ball is refused by the partial
-sums of its growth series before any product.  Elements refer to their
-group, so a dropped group is freed by the cyclic garbage collector.
+spheres and extends them for a larger radius.  ``ball_size`` is the one
+refusal of a ball past ``max_size`` elements, from the closed form and
+before any product; ``enumerate_ball`` calls it first.  Elements refer to
+their group, so a dropped group is freed by the cyclic garbage collector.
 
 Contexts mutate only their registry, memo and kept spheres, and are not
 synchronized; confine each context to a single thread.
@@ -110,15 +114,12 @@ class GroupContext:
     # -- backend hooks -------------------------------------------------
 
     def _reduce(self, payload: Payload) -> Payload:
-        """Validate a raw payload and reduce it."""
-        raise NotImplementedError
-
-    def _mul_payload(self, a: Payload, b: Payload) -> Payload:
+        """Validate a raw payload (its entries are ints) and reduce it."""
         raise NotImplementedError
 
     def _product_payload(self, a: Payload, b: Payload) -> Payload:
         """The reduced payload of a·b, for reduced payloads a and b."""
-        return self._reduce(self._mul_payload(a, b))
+        raise NotImplementedError
 
     def _inv_payload(self, a: Payload) -> Payload:
         """The reduced inverse of a reduced payload."""
@@ -130,20 +131,17 @@ class GroupContext:
     def _generator_payloads(self) -> List[Payload]:
         raise NotImplementedError
 
-    def _length(self, payload: Payload) -> int:
-        raise NotImplementedError
-
-    def _payload_key(self, payload: Payload):
+    def _sort_key(self, payload: Payload):
+        """The ball order of reduced payloads: word length, then the word."""
         raise NotImplementedError
 
     def _class_uid(self, payload: Payload, fresh: int) -> int:
         """The uid of an interned class equal to a new reduced payload, else ``fresh``."""
         return fresh
 
-    def _ball_size(self, radius: int, cap: int) -> Optional[int]:
-        """The size of the ball of this radius, or a size past ``cap`` on the
-        way to it, where a closed form is known; else None."""
-        return None
+    def _ball_size(self, radius: int, cap: int) -> int:
+        """The size of the ball of this radius, or a size past ``cap``."""
+        raise NotImplementedError
 
     # -- interning -----------------------------------------------------
 
@@ -206,32 +204,39 @@ class GroupContext:
         if not isinstance(x, GroupElement) or x.ctx is not self:
             raise ValueError("group backend mismatch")
 
+    def ball_size(self, radius: int, max_size: int) -> int:
+        """The number of elements of word length <= radius, from the closed form;
+        the one refusal of a ball past ``max_size`` (never of the identity alone)."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        cap = max(max_size, 1)
+        size = self._ball_size(radius, cap)
+        if size > cap:
+            raise ResourceLimitError(f"ball exceeds the configured cap of {max_size} elements")
+        return size
+
     def enumerate_ball(self, radius: int, max_size: Optional[int] = None) -> List[GroupElement]:
         """All elements of word length <= radius, sorted by (length, word).
 
         Breadth-first over the generator set with registry deduplication;
         new classes at each depth are interned in sorted order.  Spheres are
         kept and extended by a larger radius; an empty one ends a finite ball.
-        A ball whose size ``_ball_size`` knows is refused before any product.
+        A ball past ``max_size`` is refused by ``ball_size`` before any product.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        refusal = f"ball exceeds the configured cap of {max_size} elements"
-        size = None if max_size is None else self._ball_size(radius, max_size)
-        if size is not None and size > max(max_size, 1):
-            raise ResourceLimitError(refusal)  # before any product
+        if max_size is not None:
+            self.ball_size(radius, max_size)
         spheres = self._spheres
         if not spheres:
             spheres.append([self.identity()])
         gens = [self._intern(p) for p in self._generator_payloads()]
         ball = [x for sphere in spheres[: radius + 1] for x in sphere]
         seen = {x.uid for x in ball}  # the whole kept ball whenever it is extended
-        if max_size is not None and len(ball) > max(max_size, 1):
-            raise ResourceLimitError(refusal)  # a kept sphere past the cap, as when it was built
         while len(spheres) <= radius and spheres[-1]:
             candidates = sorted(
                 {self._product_payload(x.payload, g.payload) for x in spheres[-1] for g in gens},
-                key=lambda p: (self._length(p), self._payload_key(p)),
+                key=self._sort_key,
             )
             new: List[GroupElement] = []
             for payload in candidates:
@@ -239,8 +244,6 @@ class GroupContext:
                 if el.uid not in seen:
                     seen.add(el.uid)
                     new.append(el)
-                    if max_size is not None and len(ball) + len(new) > max_size:
-                        raise ResourceLimitError(refusal)
             spheres.append(new)
             ball.extend(new)
         return ball
@@ -317,11 +320,11 @@ class FiniteGroup(GroupContext):
 
     def _reduce(self, payload):
         (i,) = payload
-        if not 0 <= i < len(self.names):
-            raise ParseError("element index out of range")
+        if type(i) is not int or not 0 <= i < len(self.names):
+            raise ParseError(f"element index {i!r} is not an int in range")
         return (i,)
 
-    def _mul_payload(self, a, b):
+    def _product_payload(self, a, b):
         return (self.table[a[0]][b[0]],)
 
     def _inv_payload(self, a):
@@ -335,11 +338,11 @@ class FiniteGroup(GroupContext):
         others.sort(key=lambda i: self.names[i])
         return [(i,) for i in others]
 
-    def _length(self, payload):
-        return 0 if payload[0] == self._ident else 1
+    def _sort_key(self, payload):
+        return (payload[0] != self._ident, self.names[payload[0]])
 
-    def _payload_key(self, payload):
-        return self.names[payload[0]]
+    def _ball_size(self, radius, cap):
+        return 1 if radius == 0 else len(self.names)
 
     def parse_element(self, text: str) -> GroupElement:
         idx = self._name_to_idx.get(text.strip())
@@ -386,9 +389,11 @@ class LatticeGroup(GroupContext):
 
     def _reduce(self, payload):
         m, n = payload
-        return (int(m), int(n))
+        if type(m) is not int or type(n) is not int:
+            raise ParseError(f"lattice coordinates {payload!r} are not ints")
+        return (m, n)
 
-    def _mul_payload(self, a, b):
+    def _product_payload(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
 
     def _inv_payload(self, a):
@@ -400,11 +405,11 @@ class LatticeGroup(GroupContext):
     def _generator_payloads(self):
         return [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
-    def _length(self, payload):
-        return abs(payload[0]) + abs(payload[1])
+    def _sort_key(self, payload):
+        return (abs(payload[0]) + abs(payload[1]), payload)
 
-    def _payload_key(self, payload):
-        return payload
+    def _ball_size(self, radius, cap):
+        return 2 * radius * (radius + 1) + 1
 
     def parse_element(self, text: str) -> GroupElement:
         m = _LATTICE_RE.fullmatch(text.strip())
@@ -479,7 +484,7 @@ class SurfaceGroup(GroupContext):
 
     def _reduce(self, payload):
         for letter in payload:
-            if not isinstance(letter, int) or letter == 0 or abs(letter) > self._half:
+            if type(letter) is not int or letter == 0 or abs(letter) > self._half:
                 raise ParseError(f"letter {letter!r} is not valid for genus {self.genus}")
         return self._dehn(_free_reduce(payload))
 
@@ -504,9 +509,6 @@ class SurfaceGroup(GroupContext):
             pos = max(0, min(cut, cut2) - full + 1)
         return word
 
-    def _mul_payload(self, a, b):
-        return a + b
-
     def _inv_payload(self, a):
         return _inverse_word(a)
 
@@ -516,11 +518,8 @@ class SurfaceGroup(GroupContext):
     def _generator_payloads(self):
         return [(sign * idx,) for idx in range(1, self._half + 1) for sign in (1, -1)]
 
-    def _length(self, payload):
-        return len(payload)
-
-    def _payload_key(self, payload):
-        return tuple(abs(letter) * 2 + (letter < 0) for letter in payload)
+    def _sort_key(self, payload):
+        return (len(payload), tuple(abs(letter) * 2 + (letter < 0) for letter in payload))
 
     def _abelianized(self, payload) -> Tuple[int, ...]:
         counts = [0] * (2 * self.genus)

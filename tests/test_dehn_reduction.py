@@ -170,16 +170,15 @@ def test_kept_spheres_give_the_fresh_ball():
     assert len(s.enumerate_ball(3)) == len(ref)
 
 
-def test_ball_cap_refuses_where_the_sphere_is_built(monkeypatch):
+def test_ball_cap_refuses_where_the_sphere_is_built():
     s = SurfaceGroup(2)
     with pytest.raises(ResourceLimitError, match="cap of 10 elements"):
         s.enumerate_ball(2, max_size=10)
     assert len(s._elements) == 0  # the growth series refuses before any product
-    monkeypatch.setattr(SurfaceGroup, "_ball_size", lambda self, radius, cap: None)
+    assert len(s.enumerate_ball(1, max_size=9)) == 9
     with pytest.raises(ResourceLimitError, match="cap of 10 elements"):
         s.enumerate_ball(2, max_size=10)
-    assert len(s._elements) == 11  # without it: the 9-element ball, then two of sphere 2
-    assert len(s.enumerate_ball(1, max_size=9)) == 9
+    assert len(s._elements) == 9 and len(s._spheres) == 2  # the kept ball, no more
     assert ball_digest(s.enumerate_ball(2)) == GENUS2_BALLS[2][1]  # refused sphere not kept
 
 

@@ -273,3 +273,66 @@ def test_backend_mismatch():
     other = cyclic_group(2)
     with pytest.raises(ValueError, match="mismatch"):
         C2.multiply(C2.identity(), other.identity())
+
+
+def s3_group():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
+
+
+BACKENDS = {
+    "trivial": lambda: cyclic_group(1),
+    "C2": lambda: cyclic_group(2),
+    "C3": lambda: cyclic_group(3),
+    "S3": s3_group,
+    "lattice": LatticeGroup,
+    "surface:2": lambda: SurfaceGroup(2),
+}
+
+
+@pytest.mark.parametrize(
+    "name, radii",
+    [("trivial", 3), ("C2", 3), ("C3", 3), ("S3", 3), ("lattice", 5), ("surface:2", 4)],
+)
+def test_closed_form_ball_size_is_the_enumerated_size(name, radii):
+    group = BACKENDS[name]()
+    for r in range(radii):
+        assert group.ball_size(r, 10**9) == len(BACKENDS[name]().enumerate_ball(r))
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_identity_ball_is_never_refused_and_radius_1_refuses_first(name):
+    group = BACKENDS[name]()
+    assert group.enumerate_ball(0, max_size=0) == [group.identity()]
+    interned = len(group._elements)
+    for r in (1, 2):
+        if name == "trivial":  # every ball is the identity alone
+            assert group.enumerate_ball(r, max_size=0) == [group.identity()]
+            continue
+        with pytest.raises(ResourceLimitError, match="cap of 0 elements"):
+            group.enumerate_ball(r, max_size=0)
+        with pytest.raises(ResourceLimitError, match="cap of 0 elements"):
+            group.ball_size(r, 0)
+        assert len(group._elements) == interned and len(group._spheres) == 1
+
+
+@pytest.mark.parametrize(
+    "group, raw",
+    [
+        (LatticeGroup(), (1.5, 0)),
+        (LatticeGroup(), ("3", 0)),
+        (LatticeGroup(), (True, 0)),
+        (LatticeGroup(), (0, 2.0)),
+        (SurfaceGroup(2), (True,)),
+        (SurfaceGroup(2), (1, 2.0)),
+        (cyclic_group(2), (True,)),
+        (cyclic_group(2), (1.0,)),
+    ],
+)
+def test_raw_payload_entries_must_be_ints(group, raw):
+    interned = len(group._elements)
+    with pytest.raises(ParseError):
+        group.canonicalize(raw)
+    assert len(group._elements) == interned

@@ -1,12 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ocs.errors import ResourceLimitError
-from ocs.groups import SurfaceGroup, cyclic_group
+from ocs.groups import FiniteGroup, SurfaceGroup, cyclic_group
 from ocs import lie as lie_mod
 from ocs.verify import eval_expression_tree, random_expression_tree, random_lie_element
+
+
+def s3_group():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
 
 
 @pytest.fixture
@@ -172,6 +180,37 @@ class TestSymmetricAction:
                         ctx.act_symmetric(perm, ctx.generator(s, t, s2)),
                     ).scale(coef)
                 assert image.is_zero()
+
+    @pytest.mark.parametrize("make", [lambda: cyclic_group(2), s3_group], ids=["C2", "S3"])
+    def test_permutations_moving_strand_1(self, make):
+        # at n = 5 the first 24 permutations in lexicographic order all fix strand 1
+        group = make()
+        ctx = lie_mod.LieContext(group, 5)
+        decorations = group.elements()
+        perms = [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]
+        relations = list(lie_mod.pure_braid_relations(5, decorations, group))
+        for perm in perms:
+            images = {}
+
+            def image(idx):
+                if idx not in images:
+                    images[idx] = ctx.act_symmetric(perm, ctx.generator(*idx))
+                return images[idx]
+
+            for label, terms in relations:
+                mapped = ctx.bracket_sum([(coef, image(a), image(b)) for coef, a, b in terms])
+                assert mapped.is_zero(), (perm, label)
+        rng = random.Random(57)
+        for perm, other in itertools.product(perms, repeat=2):
+            x = random_lie_element(rng, ctx, decorations)
+            y = random_lie_element(rng, ctx, decorations)
+            assert ctx.act_symmetric(perm, ctx.bracket(x, y)) == ctx.bracket(
+                ctx.act_symmetric(perm, x), ctx.act_symmetric(perm, y)
+            )
+            composed = tuple(perm[other[i - 1] - 1] for i in range(1, 6))
+            assert ctx.act_symmetric(perm, ctx.act_symmetric(other, x)) == ctx.act_symmetric(
+                composed, x
+            )
 
     def test_not_a_bijection(self, c3_ctx):
         ctx, C3 = c3_ctx
