@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, ResourceLimitError
@@ -415,6 +416,14 @@ class LatticeGroup(GroupContext):
         m = _LATTICE_RE.fullmatch(text.strip())
         if m is None:
             raise ParseError(f"lattice element must look like '(m,n)', got {text!r}")
+        # 0 for no limit; absent before 3.10.7
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = max(len(coord.lstrip("-")) for coord in m.groups())
+        if limit and digits > limit:
+            raise ParseError(
+                f"lattice element {text.strip()[:30]!r}... has a coordinate of {digits} "
+                f"digits, more than the limit of {limit}"
+            )
         return self.canonicalize((int(m.group(1)), int(m.group(2))))
 
     def format_element(self, x: GroupElement) -> str:

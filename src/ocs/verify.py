@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import assoc as assoc_mod
 from . import cohomology as cohom_mod
@@ -73,10 +73,17 @@ def _rng(cfg: VerifyConfig, suite: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{suite}")
 
 
-def _decorations(cfg: VerifyConfig, group: GroupContext) -> List[GroupElement]:
-    if group.is_finite:
-        return group.elements()
-    return group.enumerate_ball(cfg.radius, max_size=cfg.max_basis)
+def _decorations(
+    cfg: VerifyConfig, group: GroupContext, plan: Optional[Callable[..., Iterable]] = None
+) -> List[GroupElement]:
+    """The decorations of a suite: every element of a finite group, else the
+    ball of ``cfg.radius``.  Each (count, what) that the suite's ``plan`` yields
+    from the exact number of decorations is refused past ``max_basis`` before
+    any decoration is built, so a lazy plan stops at its first refused count."""
+    size = group.order if group.is_finite else group.ball_size(cfg.radius, cfg.max_basis)
+    for count, what in plan(cfg, group, size) if plan else ():
+        _refuse_over(cfg.max_basis, count, what)
+    return group.elements() if group.is_finite else group.enumerate_ball(cfg.radius)
 
 
 def _refuse_over(cap: int, count: int, what: str) -> None:
@@ -91,62 +98,56 @@ def _refuse_over(cap: int, count: int, what: str) -> None:
         raise ResourceLimitError(f"{shown} {what} exceed the cap {cap}; lower --n")
 
 
-def _relation_budget(
-    cfg: VerifyConfig, decorations: Sequence[GroupElement], images: int = 1
-) -> None:
-    """Refuse, before any relation is built, a suite whose decorated relation
-    checks would exceed ``max_basis``: C(n,2)·C(n-2,2)/2 disjoint and
-    2·C(n,3) triangle instances per pair of decorations, ``images`` times."""
+def _relation_plan(cfg: VerifyConfig, group: GroupContext, size: int, images: int = 1):
+    """C(n,2)·C(n-2,2)/2 disjoint and 2·C(n,3) triangle relation instances per
+    pair of decorations, each checked ``images`` times."""
     n = cfg.n
     instances = n * (n - 1) * (n - 2) * (n - 3) // 8 + n * (n - 1) * (n - 2) // 3
-    count = instances * len(decorations) ** 2 * images
-    _refuse_over(cfg.max_basis, count, "relation checks")
+    yield instances * size**2 * images, "relation checks"
 
 
-def _cohom_budget(
-    cfg: VerifyConfig, group: GroupContext, decorations: Sequence[GroupElement]
-) -> None:
-    """Refuse, before any cup, a cohom suite whose prod_{i=2..n}(1 + (i-1)|G|)
-    admissible monomials (over a finite group, walked by the enumeration
-    checks) or whose C(n,2)·|decorations|² square-zero cups exceed
-    ``max_basis``.  The product stops once it passes the cap."""
-    n, cap = cfg.n, cfg.max_basis
+def _symmetric_action_plan(cfg: VerifyConfig, group: GroupContext, size: int):
+    """The relation checks under each of the min(n!, 24) permutations applied."""
+    return _relation_plan(cfg, group, size, (1, 1, 2, 6, 24)[min(cfg.n, 4)])
+
+
+def _cohom_plan(cfg: VerifyConfig, group: GroupContext, size: int):
+    """Over a finite group, the prod_{i=2..n}(1 + (i-1)|G|) admissible monomials
+    that the enumeration checks walk, strand by strand; then the
+    C(n,2)·size² square-zero cups."""
+    n = cfg.n
     if group.is_finite:
         monomials = 1
         for i in range(2, n + 1):
-            monomials *= 1 + (i - 1) * group.order
-            _refuse_over(cap, monomials, f"admissible monomials on the first {i} strands")
-    _refuse_over(cap, n * (n - 1) // 2 * len(decorations) ** 2, "square-zero cups")
+            monomials *= 1 + (i - 1) * size
+            yield monomials, f"admissible monomials on the first {i} strands"
+    yield n * (n - 1) // 2 * size**2, "square-zero cups"
 
 
-def _assoc_budget(
-    cfg: VerifyConfig, actx: assoc_mod.AssocContext, decorations: Sequence[GroupElement]
-) -> None:
-    """Refuse, before any product, an assoc suite whose n(n-1)(n-2)·|decorations|²
-    relation products, plus over a finite group the canonical words of length
-    0..2 that the enumeration checks walk, exceed ``max_basis``."""
-    n, cap = cfg.n, cfg.max_basis
-    count = n * (n - 1) * (n - 2) * len(decorations) ** 2
-    if actx.group.is_finite and count <= cap:
-        count += sum(assoc_mod.hilbert_coefficients(actx, 2))
-    _refuse_over(cap, count, "relation products and canonical words")
+def _assoc_plan(cfg: VerifyConfig, group: GroupContext, size: int):
+    """The n(n-1)(n-2)·size² relation products, plus over a finite group the
+    canonical words of length 0..2 that the enumeration checks walk."""
+    n = cfg.n
+    count = n * (n - 1) * (n - 2) * size**2
+    if group.is_finite and count <= cfg.max_basis:
+        count += sum(assoc_mod.hilbert_coefficients(assoc_mod.AssocContext(group, n), 2))
+    yield count, "relation products and canonical words"
 
 
-def _regrading_budget(cfg: VerifyConfig, group: GroupContext, gradings) -> None:
-    """Refuse, before any bracket, a regrading suite over a finite group whose
-    enumeration checks walk more than ``max_basis`` monomials: those of degree
-    1..3·generator_degree in each grading.  Each grading has the C(n,2)·|G|
-    generators among them, which are compared first, so that a large n is
+def _regrading_plan(cfg: VerifyConfig, group: GroupContext, size: int):
+    """Over a finite group, the monomials of degree 1..3·generator_degree that
+    the enumeration checks walk in each grading.  Each grading has the
+    C(n,2)·|G| generators among them, which come first, so that a large n is
     refused before any series is summed."""
     if not group.is_finite:
         return
-    n, cap = cfg.n, cfg.max_basis
-    _refuse_over(cap, n * (n - 1) * group.order, "generators in the two gradings")
+    n, grading = cfg.n, poisson_mod.PoissonGrading(cfg.k, cfg.q)
+    yield n * (n - 1) * size, "generators in the two gradings"
     monomials = 0
-    for grading in gradings:
-        pctx = poisson_mod.PoissonContext(group, n, grading)
-        monomials += sum(poisson_mod.basis_dimensions(pctx, 3 * grading.generator_degree)[1:])
-    _refuse_over(cap, monomials, "monomials in the two gradings")
+    for graded in (grading, grading.regraded()):
+        pctx = poisson_mod.PoissonContext(group, n, graded)
+        monomials += sum(poisson_mod.basis_dimensions(pctx, 3 * graded.generator_degree)[1:])
+    yield monomials, "monomials in the two gradings"
 
 
 def _second_group(
@@ -277,8 +278,6 @@ def random_homogeneous_poisson(
     return out, degree
 
 
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -346,8 +345,7 @@ def suite_lie_relations(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     rec = _Cases()
     group = cfg.build_group()
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
-    decorations = _decorations(cfg, group)
-    _relation_budget(cfg, decorations)
+    decorations = _decorations(cfg, group, _relation_plan)
     for label, terms in lie_mod.pure_braid_relations(cfg.n, decorations, group):
         rec.zero(lie_mod.evaluate_relation(ctx, terms), "{}", label)
     return rec.result()
@@ -404,8 +402,7 @@ def suite_symmetric_action(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     group = cfg.build_group()
     ctx = lie_mod.LieContext(group, cfg.n, cfg.q)
     actx = assoc_mod.AssocContext(group, cfg.n)
-    decorations = _decorations(cfg, group)
-    _relation_budget(cfg, decorations, (1, 1, 2, 6, 24)[min(cfg.n, 4)])  # min(n!, 24) images
+    decorations = _decorations(cfg, group, _symmetric_action_plan)
     perms = list(itertools.islice(itertools.permutations(range(1, cfg.n + 1)), 24))
     trivial_tuple = tuple(group.identity() for _ in range(cfg.n))
 
@@ -453,8 +450,7 @@ def suite_assoc(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     group = cfg.build_group()
     actx = assoc_mod.AssocContext(group, cfg.n)
     lctx = lie_mod.LieContext(group, cfg.n, cfg.q)
-    decorations = _decorations(cfg, group)
-    _assoc_budget(cfg, actx, decorations)
+    decorations = _decorations(cfg, group, _assoc_plan)
 
     def random_word(max_len=3):
         letters = []
@@ -517,8 +513,7 @@ def suite_cohom(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     rng = _rng(cfg, "cohom")
     group = cfg.build_group()
     cctx = cohom_mod.CohomContext(group, cfg.n)
-    decorations = _decorations(cfg, group)
-    _cohom_budget(cfg, group, decorations)
+    decorations = _decorations(cfg, group, _cohom_plan)
 
     def random_class():
         i = rng.randint(2, cfg.n)
@@ -557,8 +552,7 @@ def suite_poisson_axioms(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     group = cfg.build_group()
     grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
     pctx = poisson_mod.PoissonContext(group, cfg.n, grading)
-    decorations = _decorations(cfg, group)
-    _relation_budget(cfg, decorations)
+    decorations = _decorations(cfg, group, _relation_plan)
     shift = grading.shift
 
     pool = {}
@@ -660,10 +654,9 @@ def suite_regrading(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     rec = _Cases()
     rng = _rng(cfg, "regrading")
     group = cfg.build_group()
-    decorations = _decorations(cfg, group)
+    decorations = _decorations(cfg, group, _regrading_plan)
     grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
     regraded = grading.regraded()
-    _regrading_budget(cfg, group, (grading, regraded))
     ctx1 = lie_mod.LieContext(group, cfg.n, q=1)
     # q=3 works over a second group object, so it shares no memo with q=1
     other, to_other = _second_group(cfg, decorations)

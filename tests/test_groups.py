@@ -1,7 +1,10 @@
 import itertools
+import re
+import sys
 
 import pytest
 
+from ocs import cli
 from ocs.errors import ParseError, ResourceLimitError
 from ocs.groups import (
     FiniteGroup,
@@ -177,6 +180,23 @@ class TestLattice:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             LatticeGroup().parse_element("1,2")
+
+    def test_coordinate_past_the_digit_limit_is_a_bounded_parse_error(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no integer-string digit limit in this interpreter")
+        L = LatticeGroup()
+        widest = f"(-{'9' * limit},0)"
+        assert str(L.parse_element(widest)) == widest
+        want = f"has a coordinate of {limit + 1} digits, more than the limit of {limit}$"
+        with pytest.raises(ParseError, match="^lattice element '\\(0999") as info:
+            L.parse_element(f"(0{'9' * limit},1)")
+        assert re.search(want, str(info.value)) and len(str(info.value)) < 200
+        argv = ["group", "reduce", "--group", "lattice", "--word", f"(1,{'9' * 5000})"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("ocs: error: lattice element '(1,999") and len(err) < 200
 
 
 class TestFinite:

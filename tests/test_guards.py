@@ -13,10 +13,11 @@ from ocs import assoc as assoc_mod
 from ocs import cli
 from ocs import cohomology as cohom_mod
 from ocs import lie as lie_mod
+from ocs import poisson as poisson_mod
 from ocs.assoc import AssocContext, bruteforce_quotient_dimension, hilbert_coefficients
 from ocs.cohomology import CohomContext, bruteforce_cohom_dimension, poincare_polynomial
 from ocs.errors import ResourceLimitError
-from ocs.groups import MAX_FINITE_ORDER, FiniteGroup, _is_associative, cyclic_group
+from ocs.groups import MAX_FINITE_ORDER, FiniteGroup, GroupContext, _is_associative, cyclic_group
 from ocs.lie import LieContext, bruteforce_dimension, graded_dimension
 
 GEN = {"gen": {"i": 2, "j": 1, "sigma": "e"}}
@@ -295,18 +296,6 @@ class TestLieTables:
 
 
 class TestVerifyCaseBudget:
-    @pytest.mark.parametrize("n", range(1, 8))
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_the_closed_form_counts_every_relation_instance(self, n, order):
-        from ocs.verify import VerifyConfig, _relation_budget
-
-        group = cyclic_group(order)
-        count = len(list(lie_mod.pure_braid_relations(n, group.elements(), group)))
-        _relation_budget(VerifyConfig(n=n, max_basis=count), group.elements())
-        if count:
-            with pytest.raises(ResourceLimitError, match=f"^{count} relation checks"):
-                _relation_budget(VerifyConfig(n=n, max_basis=count - 1), group.elements())
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -333,35 +322,6 @@ class TestVerifyCaseBudget:
 
 
 class TestVerifyCohomBudget:
-    @pytest.mark.parametrize("n", range(2, 7))
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_the_counts_are_the_cups_and_the_walked_monomials(self, monkeypatch, n, order):
-        from ocs.verify import VerifyConfig, _cohom_budget, suite_cohom
-
-        group = cyclic_group(order)
-        cctx = CohomContext(group, n)
-        monomials = sum(cohom_mod.count_admissible(cctx, d) for d in range(n))
-        cups = n * (n - 1) // 2 * order**2
-        calls = []
-        cup = CohomContext.cup
-
-        def counted(self, x, y):
-            calls.append(1)
-            return cup(self, x, y)
-
-        monkeypatch.setattr(CohomContext, "cup", counted)
-        suite_cohom(VerifyConfig(group=f"C{order}" if order > 1 else "trivial", n=n, samples=0))
-        assert len(calls) == cups
-        cap = max(cups, monomials)
-        _cohom_budget(VerifyConfig(n=n, max_basis=cap), group, group.elements())
-        with pytest.raises(ResourceLimitError, match="; lower --n$"):
-            _cohom_budget(VerifyConfig(n=n, max_basis=cap - 1), group, group.elements())
-        with pytest.raises(ResourceLimitError, match=f"^{monomials} admissible monomials on"):
-            _cohom_budget(VerifyConfig(n=n, max_basis=monomials - 1), group, group.elements())
-        if cups > monomials:
-            with pytest.raises(ResourceLimitError, match=f"^{cups} square-zero cups"):
-                _cohom_budget(VerifyConfig(n=n, max_basis=cups - 1), group, group.elements())
-
     @pytest.mark.parametrize("n", ["8", "300", str(10**4000)], ids=["8", "300", "10^4000"])
     def test_refused_before_any_cup(self, capsys, monkeypatch, n):
         monkeypatch.setattr(CohomContext, "cup", None)  # any cup would raise TypeError
@@ -439,53 +399,6 @@ class TestBoundedRefusals:
 
 
 class TestVerifyAssocRegradingBudget:
-    @pytest.mark.parametrize("n", range(2, 6))
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_assoc_count_is_the_products_and_walked_words(self, monkeypatch, n, order):
-        from ocs.verify import VerifyConfig, _assoc_budget, suite_assoc
-
-        group = cyclic_group(order)
-        actx = AssocContext(group, n)
-        words = sum(assoc_mod.count_canonical_words(actx, d) for d in range(3))
-        sums = []
-        product_sum = AssocContext.product_sum
-
-        def counted(self, pairs):
-            sums.append(1)
-            return product_sum(self, pairs)
-
-        monkeypatch.setattr(AssocContext, "product_sum", counted)
-        spec = f"C{order}" if order > 1 else "trivial"
-        suite_assoc(VerifyConfig(group=spec, n=n, samples=0))
-        count = len(sums) + words
-        _assoc_budget(VerifyConfig(n=n, max_basis=count), actx, group.elements())
-        want = f"^{count} relation products and canonical words"
-        with pytest.raises(ResourceLimitError, match=want):
-            _assoc_budget(VerifyConfig(n=n, max_basis=count - 1), actx, group.elements())
-
-    @pytest.mark.parametrize("n", range(2, 5))
-    @pytest.mark.parametrize("spec", ["C2", "C3"])
-    def test_regrading_count_is_the_walked_monomials(self, monkeypatch, n, spec):
-        from ocs.verify import VerifyConfig, _regrading_budget, poisson_mod, suite_regrading
-
-        walked = []
-        enumerate_monomials = poisson_mod.enumerate_monomials
-
-        def counted(ctx, degree):
-            out = enumerate_monomials(ctx, degree)
-            walked.append(len(out))
-            return out
-
-        monkeypatch.setattr(poisson_mod, "enumerate_monomials", counted)
-        cfg = VerifyConfig(group=spec, n=n, samples=0)
-        suite_regrading(cfg)
-        grading = poisson_mod.PoissonGrading(cfg.k, cfg.q)
-        gradings, group = (grading, grading.regraded()), cfg.build_group()
-        count = sum(walked)
-        _regrading_budget(VerifyConfig(n=n, max_basis=count), group, gradings)
-        with pytest.raises(ResourceLimitError, match=f"^{count} monomials in the two gradings"):
-            _regrading_budget(VerifyConfig(n=n, max_basis=count - 1), group, gradings)
-
     @pytest.mark.parametrize(
         "argv, shown",
         [
@@ -515,3 +428,111 @@ class TestVerifyAssocRegradingBudget:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert "ball exceeds the configured cap of 200000 elements" in err
+
+
+def _tally(monkeypatch, owner, name, weigh):
+    """Wrap ``owner.name`` so that each call adds ``weigh(result)`` to the tally returned."""
+    tally = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        out = original(*args)
+        tally[0] += weigh(out)
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return tally
+
+
+def _suite_work(monkeypatch, suite, cfg):
+    """Run ``suite`` with no samples and return its work as {what: count}, in the
+    words of its case plan."""
+    from ocs.verify import SUITES
+
+    if suite == "cohom":
+        cups = _tally(monkeypatch, CohomContext, "cup", lambda out: 1)
+        walked = _tally(monkeypatch, cohom_mod, "count_admissible", lambda out: out)
+        SUITES[suite](cfg)
+        strands = f"admissible monomials on the first {cfg.n} strands"
+        return {strands: walked[0], "square-zero cups": cups[0]}
+    if suite == "assoc":
+        sums = _tally(monkeypatch, AssocContext, "product_sum", lambda out: 1)
+        words = _tally(monkeypatch, assoc_mod, "count_canonical_words", lambda out: out)
+        SUITES[suite](cfg)
+        return {"relation products and canonical words": sums[0] + words[0]}
+    if suite == "regrading":
+        walked = _tally(monkeypatch, poisson_mod, "enumerate_monomials", len)
+        # a generator is a monomial of one primitive whose Lyndon word is one letter
+        generators = _tally(
+            monkeypatch,
+            poisson_mod,
+            "enumerate_monomials",
+            lambda out: sum(len(m) == 1 and len(m[0][1]) == 1 for m in out),
+        )
+        SUITES[suite](cfg)
+        return {
+            "generators in the two gradings": generators[0],
+            "monomials in the two gradings": walked[0],
+        }
+    cases, _ = SUITES[suite](cfg)  # with no samples, one case per relation check
+    return {"relation checks": cases}
+
+
+PLAN_GRID = [
+    ("lie-relations", range(2, 8)),
+    ("symmetric-action", range(2, 6)),
+    ("poisson-axioms", range(2, 6)),
+    ("assoc", range(2, 6)),
+    ("cohom", range(2, 7)),
+    ("regrading", range(2, 5)),
+]
+
+
+class TestVerifyCasePlans:
+    @pytest.mark.parametrize(
+        "suite, order, n", [(s, order, n) for s, ns in PLAN_GRID for order in (1, 2, 3) for n in ns]
+    )
+    def test_each_plan_counts_its_suite_work(self, monkeypatch, suite, order, n):
+        from ocs import verify
+
+        plan = {
+            "lie-relations": verify._relation_plan,
+            "symmetric-action": verify._symmetric_action_plan,
+            "poisson-axioms": verify._relation_plan,
+            "assoc": verify._assoc_plan,
+            "cohom": verify._cohom_plan,
+            "regrading": verify._regrading_plan,
+        }[suite]
+        spec = f"C{order}" if order > 1 else "trivial"
+        cfg = verify.VerifyConfig(group=spec, n=n, samples=0)
+        group = cfg.build_group()
+        planned = [(what, count) for count, what in plan(cfg, group, order)]
+        work = _suite_work(monkeypatch, suite, cfg)
+        assert {what: dict(planned)[what] for what in work} == work
+        cfg.max_basis = max(work.values())
+        assert verify._decorations(cfg, group, plan) == group.elements()
+        for what, total in work.items():
+            # the refusal names the first planned count past the cap
+            if total and next(p for p in planned if p[1] >= total) == (what, total):
+                cfg.max_basis = total - 1
+                want = f"^{total} {what} exceed the cap {total - 1}; lower --n$"
+                with pytest.raises(ResourceLimitError, match=want):
+                    verify._decorations(cfg, group, plan)
+
+    def test_radius_6_surface_suites_refused_before_any_decoration(self, capsys, monkeypatch):
+        # the radius-6 ball has 155,577 elements, and no suite below may build it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(GroupContext, "enumerate_ball", refuse)
+        for suite in ["lie-relations", "symmetric-action", "assoc", "cohom", "poisson-axioms"]:
+            argv = ["verify", suite, "--group", "surface:2", "--n", "3", "--radius", "6"]
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and out == ""
+            assert err.rstrip().endswith("exceed the cap 200000; lower --n")
+        # a finite group's decorations are all its elements, whatever the radius
+        code, out, err = run(capsys, ["verify", "lie-relations", "--group", "C3", "--max-basis", "2"])
+        assert code == 3 and out == ""
+        assert "18 relation checks exceed the cap 2; lower --n" in err
