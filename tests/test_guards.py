@@ -295,7 +295,116 @@ class TestLieTables:
             oracle(cyclic_group(2))
 
 
+def _tally(monkeypatch, owner, name, weigh):
+    """Wrap ``owner.name`` so that each call adds ``weigh(result)`` to the tally returned."""
+    tally = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        out = original(*args)
+        tally[0] += weigh(out)
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return tally
+
+
+def _suite_work(monkeypatch, suite, cfg):
+    """Run ``suite`` with no samples and return its work as {what: count}, in the
+    words of its case plan."""
+    from ocs.verify import SUITES
+
+    if suite == "cohom":
+        cups = _tally(monkeypatch, CohomContext, "cup", lambda out: 1)
+        walked = _tally(monkeypatch, cohom_mod, "count_admissible", lambda out: out)
+        SUITES[suite](cfg)
+        strands = f"admissible monomials on the first {cfg.n} strands"
+        return {strands: walked[0], "square-zero cups": cups[0]}
+    if suite == "assoc":
+        sums = _tally(monkeypatch, AssocContext, "product_sum", lambda out: 1)
+        words = _tally(monkeypatch, assoc_mod, "count_canonical_words", lambda out: out)
+        SUITES[suite](cfg)
+        return {"relation products and canonical words": sums[0] + words[0]}
+    if suite == "regrading":
+        walked = _tally(monkeypatch, poisson_mod, "enumerate_monomials", len)
+        # a generator is a monomial of one primitive whose Lyndon word is one letter
+        generators = _tally(
+            monkeypatch,
+            poisson_mod,
+            "enumerate_monomials",
+            lambda out: sum(len(m) == 1 and len(m[0][1]) == 1 for m in out),
+        )
+        SUITES[suite](cfg)
+        return {
+            "generators in the two gradings": generators[0],
+            "monomials in the two gradings": walked[0],
+        }
+    cases, _ = SUITES[suite](cfg)  # with no samples, one case per relation check
+    return {"relation checks": cases}
+
+
+def _check_plan(monkeypatch, suite, order, n):
+    """The suite's case plan yields the work the suite does, count by count, and
+    refuses at one below each count with the text that names it."""
+    from ocs import verify
+
+    plan = {
+        "lie-relations": verify._relation_plan,
+        "symmetric-action": verify._symmetric_action_plan,
+        "poisson-axioms": verify._relation_plan,
+        "assoc": verify._assoc_plan,
+        "cohom": verify._cohom_plan,
+        "regrading": verify._regrading_plan,
+    }[suite]
+    spec = f"C{order}" if order > 1 else "trivial"
+    cfg = verify.VerifyConfig(group=spec, n=n, samples=0)
+    group = cfg.build_group()
+    planned = [(what, count) for count, what in plan(cfg, group, order)]
+    work = _suite_work(monkeypatch, suite, cfg)
+    assert {what: dict(planned)[what] for what in work} == work
+    cfg.max_basis = max(work.values())
+    assert verify._decorations(cfg, group, plan) == group.elements()
+    for what, total in work.items():
+        # the refusal names the first planned count past the cap
+        if total and next(p for p in planned if p[1] >= total) == (what, total):
+            cfg.max_basis = total - 1
+            want = f"^{total} {what} exceed the cap {total - 1}; lower --n$"
+            with pytest.raises(ResourceLimitError, match=want):
+                verify._decorations(cfg, group, plan)
+
+
 class TestVerifyCaseBudget:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_the_closed_form_counts_every_relation_instance(self, monkeypatch, n, order):
+        from ocs.verify import VerifyConfig, _relation_plan
+
+        if n == 1:  # no relation instance, and no suite: LieContext refuses n < 2
+            plan = _relation_plan(VerifyConfig(n=n), cyclic_group(order), order)
+            assert list(plan) == [(0, "relation checks")]
+            return
+        for suite in ["lie-relations", "symmetric-action", "poisson-axioms"]:
+            _check_plan(monkeypatch, suite, order, n)
+
+    def test_radius_6_surface_suites_refused_before_any_decoration(self, capsys, monkeypatch):
+        # the radius-6 ball has 155,577 elements, and no suite below may build it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(GroupContext, "enumerate_ball", refuse)
+        for suite in ["lie-relations", "symmetric-action", "assoc", "cohom", "poisson-axioms"]:
+            argv = ["verify", suite, "--group", "surface:2", "--n", "3", "--radius", "6"]
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and out == ""
+            assert err.rstrip().endswith("exceed the cap 200000; lower --n")
+        # a finite group's decorations are all its elements, whatever the radius
+        monkeypatch.setattr(GroupContext, "ball_size", refuse)
+        code, out, err = run(capsys, ["verify", "lie-relations", "--group", "C3", "--max-basis", "2"])
+        assert code == 3 and out == ""
+        assert "18 relation checks exceed the cap 2; lower --n" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -322,6 +431,11 @@ class TestVerifyCaseBudget:
 
 
 class TestVerifyCohomBudget:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_the_counts_are_the_cups_and_the_walked_monomials(self, monkeypatch, n, order):
+        _check_plan(monkeypatch, "cohom", order, n)
+
     @pytest.mark.parametrize("n", ["8", "300", str(10**4000)], ids=["8", "300", "10^4000"])
     def test_refused_before_any_cup(self, capsys, monkeypatch, n):
         monkeypatch.setattr(CohomContext, "cup", None)  # any cup would raise TypeError
@@ -399,6 +513,16 @@ class TestBoundedRefusals:
 
 
 class TestVerifyAssocRegradingBudget:
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_assoc_count_is_the_products_and_walked_words(self, monkeypatch, n, order):
+        _check_plan(monkeypatch, "assoc", order, n)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("spec", ["trivial", "C2", "C3"])
+    def test_regrading_count_is_the_walked_monomials(self, monkeypatch, n, spec):
+        _check_plan(monkeypatch, "regrading", {"trivial": 1, "C2": 2, "C3": 3}[spec], n)
+
     @pytest.mark.parametrize(
         "argv, shown",
         [
@@ -428,111 +552,3 @@ class TestVerifyAssocRegradingBudget:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert "ball exceeds the configured cap of 200000 elements" in err
-
-
-def _tally(monkeypatch, owner, name, weigh):
-    """Wrap ``owner.name`` so that each call adds ``weigh(result)`` to the tally returned."""
-    tally = [0]
-    original = getattr(owner, name)
-
-    def counted(*args):
-        out = original(*args)
-        tally[0] += weigh(out)
-        return out
-
-    monkeypatch.setattr(owner, name, counted)
-    return tally
-
-
-def _suite_work(monkeypatch, suite, cfg):
-    """Run ``suite`` with no samples and return its work as {what: count}, in the
-    words of its case plan."""
-    from ocs.verify import SUITES
-
-    if suite == "cohom":
-        cups = _tally(monkeypatch, CohomContext, "cup", lambda out: 1)
-        walked = _tally(monkeypatch, cohom_mod, "count_admissible", lambda out: out)
-        SUITES[suite](cfg)
-        strands = f"admissible monomials on the first {cfg.n} strands"
-        return {strands: walked[0], "square-zero cups": cups[0]}
-    if suite == "assoc":
-        sums = _tally(monkeypatch, AssocContext, "product_sum", lambda out: 1)
-        words = _tally(monkeypatch, assoc_mod, "count_canonical_words", lambda out: out)
-        SUITES[suite](cfg)
-        return {"relation products and canonical words": sums[0] + words[0]}
-    if suite == "regrading":
-        walked = _tally(monkeypatch, poisson_mod, "enumerate_monomials", len)
-        # a generator is a monomial of one primitive whose Lyndon word is one letter
-        generators = _tally(
-            monkeypatch,
-            poisson_mod,
-            "enumerate_monomials",
-            lambda out: sum(len(m) == 1 and len(m[0][1]) == 1 for m in out),
-        )
-        SUITES[suite](cfg)
-        return {
-            "generators in the two gradings": generators[0],
-            "monomials in the two gradings": walked[0],
-        }
-    cases, _ = SUITES[suite](cfg)  # with no samples, one case per relation check
-    return {"relation checks": cases}
-
-
-PLAN_GRID = [
-    ("lie-relations", range(2, 8)),
-    ("symmetric-action", range(2, 6)),
-    ("poisson-axioms", range(2, 6)),
-    ("assoc", range(2, 6)),
-    ("cohom", range(2, 7)),
-    ("regrading", range(2, 5)),
-]
-
-
-class TestVerifyCasePlans:
-    @pytest.mark.parametrize(
-        "suite, order, n", [(s, order, n) for s, ns in PLAN_GRID for order in (1, 2, 3) for n in ns]
-    )
-    def test_each_plan_counts_its_suite_work(self, monkeypatch, suite, order, n):
-        from ocs import verify
-
-        plan = {
-            "lie-relations": verify._relation_plan,
-            "symmetric-action": verify._symmetric_action_plan,
-            "poisson-axioms": verify._relation_plan,
-            "assoc": verify._assoc_plan,
-            "cohom": verify._cohom_plan,
-            "regrading": verify._regrading_plan,
-        }[suite]
-        spec = f"C{order}" if order > 1 else "trivial"
-        cfg = verify.VerifyConfig(group=spec, n=n, samples=0)
-        group = cfg.build_group()
-        planned = [(what, count) for count, what in plan(cfg, group, order)]
-        work = _suite_work(monkeypatch, suite, cfg)
-        assert {what: dict(planned)[what] for what in work} == work
-        cfg.max_basis = max(work.values())
-        assert verify._decorations(cfg, group, plan) == group.elements()
-        for what, total in work.items():
-            # the refusal names the first planned count past the cap
-            if total and next(p for p in planned if p[1] >= total) == (what, total):
-                cfg.max_basis = total - 1
-                want = f"^{total} {what} exceed the cap {total - 1}; lower --n$"
-                with pytest.raises(ResourceLimitError, match=want):
-                    verify._decorations(cfg, group, plan)
-
-    def test_radius_6_surface_suites_refused_before_any_decoration(self, capsys, monkeypatch):
-        # the radius-6 ball has 155,577 elements, and no suite below may build it
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ball was built")
-
-        monkeypatch.setattr(GroupContext, "enumerate_ball", refuse)
-        for suite in ["lie-relations", "symmetric-action", "assoc", "cohom", "poisson-axioms"]:
-            argv = ["verify", suite, "--group", "surface:2", "--n", "3", "--radius", "6"]
-            start = time.perf_counter()
-            code, out, err = run(capsys, argv)
-            assert time.perf_counter() - start < 1.0
-            assert code == 3 and out == ""
-            assert err.rstrip().endswith("exceed the cap 200000; lower --n")
-        # a finite group's decorations are all its elements, whatever the radius
-        code, out, err = run(capsys, ["verify", "lie-relations", "--group", "C3", "--max-basis", "2"])
-        assert code == 3 and out == ""
-        assert "18 relation checks exceed the cap 2; lower --n" in err
