@@ -28,15 +28,14 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import lyndon
-from .errors import ResourceLimitError
 from .groups import (
     GroupElement,
     check_int_strands,
     decoration_order,
-    strand_letter_count,
     strand_letters,
     strand_pair,
     strand_permutation,
+    strand_word_count,
 )
 from .lie import LieElement
 from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
@@ -279,14 +278,8 @@ def bruteforce_quotient_dimension(
     """Independent oracle: dimension of the degree-deg part of the free
     associative algebra on all generators modulo the two-sided ideal
     generated by the quadratic relations."""
-    size = strand_letter_count(ctx.group, ctx.n)
-    if deg < 0:
-        raise ValueError("degree must be >= 0")
-    if deg > 3:
-        raise ResourceLimitError("brute-force quotient is guarded to degree <= 3")
-    if size**deg > max_basis:
-        raise ResourceLimitError(f"free algebra basis {size}^{deg} exceeds cap {max_basis}")
+    words = strand_word_count(ctx.group, ctx.n, deg, max_basis)
     if deg < 2:
-        return size**deg
+        return words
     letters = strand_letters(ctx.group, ctx.n)
-    return quotient_dimension(size**deg, relation_tensors(ctx), letters, deg)
+    return quotient_dimension(words, relation_tensors(ctx), letters, deg)

@@ -327,6 +327,12 @@ def _cmd_poisson(args) -> int:
         _emit(args, rows, _format_terms(rows))
         return 0
     _refuse_long_table(args, args.max_deg + 1, "--max-deg")
+    # each bracket length multiplies the (max_deg + 1)-long series by a factor as long
+    steps = (args.max_deg + 1) ** 2
+    if steps > args.max_basis:
+        raise ResourceLimitError(
+            f"{steps} series steps exceed --max-basis {args.max_basis}; lower --max-deg"
+        )
     pctx = poisson_mod.PoissonContext(
         group, args.n, poisson_mod.PoissonGrading(args.k, args.q)
     )

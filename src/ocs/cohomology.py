@@ -18,23 +18,24 @@ prod_{i=2..n} (1 + (i-1)|G| t).
 
 The anticommutativity convention is validated against relations (1)-(2)
 by the rank oracle below; a mismatch would surface as a dimension drop.
+It states the relations on its own and runs in degrees 0 to 3 on the chord
+oracle's two-sided core: over Q the exterior algebra is the tensor algebra
+modulo the symmetric tensors, so its rows are those and (1)-(2) on commutators.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import ResourceLimitError
 from .groups import (
     GroupElement,
     check_int_strands,
     decoration_order,
-    strand_letter_count,
     strand_letters,
+    strand_word_count,
 )
-from .linalg import quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
+from .linalg import commutators, quotient_dimension, rank_of_rows  # noqa: F401 (a perfbench probe)
 from .sparse import Coef, Step, StrandWordContext, StrandWordElement
 
 Factor = Tuple[int, int, int]  # (top strand i, lower strand j, decoration uid)
@@ -135,41 +136,22 @@ def count_admissible(ctx: CohomContext, deg: int) -> int:
 def bruteforce_cohom_dimension(
     ctx: CohomContext, deg: int = 2, max_basis: int = 200_000
 ) -> int:
-    """Independent oracle: exact rank of the degree-deg quotient (deg <= 2)
-    of the free anticommutative algebra on the degree-1 classes by
-    relations (1)-(2)."""
-    n_gens = strand_letter_count(ctx.group, ctx.n)
-    if deg < 0:
-        raise ValueError("degree must be >= 0")
-    if deg > 2:
-        raise ResourceLimitError("the rank oracle is implemented for degree 2 only")
-    if comb(n_gens, deg) > max_basis:
-        raise ResourceLimitError(
-            f"wedge basis of size C({n_gens},{deg}) exceeds cap {max_basis}"
-        )
+    """Independent oracle: dimension of the degree-deg part of the free
+    associative algebra on the degree-1 classes modulo the two-sided ideal
+    generated by the symmetric tensors and relations (1)-(2) on commutators."""
+    words = strand_word_count(ctx.group, ctx.n, deg, max_basis)
     if deg < 2:
-        return n_gens ** deg
+        return words
     gens = strand_letters(ctx.group, ctx.n)
-    index = {g: a for a, g in enumerate(gens)}
-
-    def wedges(pairs) -> Dict[Tuple[int, int], int]:
-        """The row sum of c * (x ^ y) over ``pairs`` of distinct classes, on
-        index pairs (a, b) with a < b; cancelled entries are dropped."""
-        row: Dict[Tuple[int, int], int] = {}
-        for c, x, y in pairs:
-            a, b = index[x], index[y]
-            key, c = ((a, b), c) if a < b else ((b, a), -c)
-            row[key] = row.get(key, 0) + c
-        return {k: c for k, c in row.items() if c}
-
-    # relation (1) for mu != nu on one strand pair; the square already vanishes over Q
-    rows = [wedges([(1, x, y)]) for x, y in itertools.permutations(gens, 2) if x[:2] == y[:2]]
-    elements = ctx.group.elements()
-    for i in range(3, ctx.n + 1):
-        for j in range(2, i):
-            for t in range(1, j):
-                for mu, nu in itertools.product(elements, repeat=2):
-                    dec = ctx.group.multiply(mu, ctx.group.invert(nu))
-                    x, y, z = (i, t, mu.uid), (i, j, nu.uid), (j, t, dec.uid)
-                    rows.append(wedges([(1, x, y), (-1, z, y), (1, z, x)]))
-    return quotient_dimension(comb(n_gens, 2), rows, gens, 2)
+    rows = [{(x, x): 1} for x in gens]
+    for x, y in itertools.combinations(gens, 2):
+        rows.append({(x, y): 1, (y, x): 1})
+        if x[:2] == y[:2]:  # relation (1) for mu != nu; the square is symmetric
+            rows.append(commutators([(1, x, y)]))
+    group = ctx.group
+    for t, j, i in itertools.combinations(range(1, ctx.n + 1), 3):  # relation (2)
+        for mu, nu in itertools.product(group.elements(), repeat=2):
+            dec = group.multiply(mu, group.invert(nu))
+            x, y, z = (i, t, mu.uid), (i, j, nu.uid), (j, t, dec.uid)
+            rows.append(commutators([(1, x, y), (-1, z, y), (1, z, x)]))
+    return quotient_dimension(words, rows, gens, deg)

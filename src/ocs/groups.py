@@ -665,6 +665,19 @@ def strand_letter_count(group: GroupContext, n: int) -> int:
     return n * (n - 1) // 2 * group.order
 
 
+def strand_word_count(group: GroupContext, n: int, deg: int, max_basis: int) -> int:
+    """N^deg, the words of length ``deg`` in the N strand letters, the basis of
+    the chord and cohomology rank oracles, refused past degree 3 or ``max_basis``."""
+    size = strand_letter_count(group, n)
+    if deg < 0:
+        raise ValueError("degree must be >= 0")
+    if deg > 3:
+        raise ResourceLimitError("brute-force quotient is guarded to degree <= 3")
+    if size**deg > max_basis:
+        raise ResourceLimitError(f"free algebra basis {size}^{deg} exceeds cap {max_basis}")
+    return size**deg
+
+
 def strand_letters(group: GroupContext, n: int) -> List[Tuple[int, int, int]]:
     """The sorted letters (i, j, uid), n >= i > j >= 1, over a finite
     decoration group: the alphabet of the enumerators and rank oracles."""

@@ -10,7 +10,9 @@ nonzero rational does not change the span, so the rank is the rank over Q.
 ``quotient_dimension`` is the core of the brute-force rank oracles: the
 dimension of a graded piece of a free algebra modulo the ideal generated by
 quadratic relations, in word (tensor) coordinates.  It knows nothing of the
-algebras whose normal forms the oracles check.
+algebras whose normal forms the oracles check.  The Lie oracle uses its Lie
+mode, the chord and cohomology oracles its two-sided mode: over Q the
+exterior algebra is the tensor algebra modulo the symmetric tensors.
 """
 
 from __future__ import annotations

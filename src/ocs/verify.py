@@ -520,12 +520,13 @@ def suite_cohom(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         j = rng.randint(1, i - 1)
         return cctx.generator(i, j, rng.choice(decorations))
 
+    pairs = [(i, j) for i in range(2, cfg.n + 1) for j in range(1, i)]
+    gens = {(i, j, g): cctx.generator(i, j, g) for i, j in pairs for g in decorations}
     for mu in decorations:
         for nu in decorations:
-            for i in range(2, cfg.n + 1):
-                for j in range(1, i):
-                    sq = cctx.cup(cctx.generator(i, j, mu), cctx.generator(i, j, nu))
-                    rec.zero(sq, "square-zero[{},{};{};{}]", i, j, mu, nu)
+            for i, j in pairs:
+                sq = cctx.cup(gens[i, j, mu], gens[i, j, nu])
+                rec.zero(sq, "square-zero[{},{};{};{}]", i, j, mu, nu)
     for trial in range(min(cfg.samples, 15)):
         a, b = random_class(), random_class()
         rec.zero(cctx.cup(a, b) + cctx.cup(b, a), "anticommute[{}]", trial)
@@ -540,7 +541,8 @@ def suite_cohom(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
             count = cohom_mod.count_admissible(cctx, deg)
             rec.check(count == poly[deg], poly[deg], count, "poincare-enumeration[deg={}]", deg)
         if group.order * cfg.n <= 8:
-            brute = cohom_mod.bruteforce_cohom_dimension(cctx, 2, max_basis=cfg.max_basis)
+            # at most 28^2 words; the plan has applied --max-basis to this suite
+            brute = cohom_mod.bruteforce_cohom_dimension(cctx, 2)
             want = poly[2] if len(poly) > 2 else 0
             rec.check(brute == want, want, brute, "poincare-bruteforce[deg=2]")
     return rec.result()

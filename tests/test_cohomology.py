@@ -99,12 +99,18 @@ class TestCounting:
         assert cohom_mod.count_admissible(ctx, len(poly)) == 0
 
     def test_bruteforce_rank_oracle(self, c2):
-        ctx, _ = c2
+        ctx, C2 = c2
         assert cohom_mod.bruteforce_cohom_dimension(ctx, 2) == 8
+        ctx4 = cohom_mod.CohomContext(C2, 4)
+        assert cohom_mod.bruteforce_cohom_dimension(ctx4, 3) == 48
+        assert cohom_mod.poincare_polynomial(ctx4)[3] == 48
 
     def test_bruteforce_trivial_group(self):
         ctx = cohom_mod.CohomContext(cyclic_group(1), 3)
         assert cohom_mod.bruteforce_cohom_dimension(ctx, 2) == 2
+        ctx = cohom_mod.CohomContext(cyclic_group(1), 4)
+        assert cohom_mod.bruteforce_cohom_dimension(ctx, 3) == 6
+        assert cohom_mod.poincare_polynomial(ctx)[3] == 6
 
     def test_bruteforce_n2_degree2_vanishes(self):
         for order in (1, 2, 3):
@@ -114,7 +120,7 @@ class TestCounting:
     def test_guard(self, c2):
         ctx, _ = c2
         with pytest.raises(ResourceLimitError):
-            cohom_mod.bruteforce_cohom_dimension(ctx, 3)
+            cohom_mod.bruteforce_cohom_dimension(ctx, 4)
 
 
 def test_factor_validation(c2):

@@ -181,8 +181,9 @@ class TestUnprintableTables:
 
 
 class TestLongTables:
-    """A table of more than ``--max-basis`` entries is refused with exit 3
-    before any work, even when every entry is small."""
+    """A table of more than ``--max-basis`` entries, or a Poisson series of
+    more than ``--max-basis`` steps, is refused with exit 3 before any work,
+    even when every entry is small."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -191,8 +192,13 @@ class TestLongTables:
             ["assoc", "hilbert", "--n", "3", "--max-deg", "10", "--max-basis", "10"],
             ["poisson", "dims", "--n", "3", "--k", "2", "--q", "1", "--max-deg", "10",
              "--max-basis", "10"],
+            ["poisson", "dims", "--group", "C2", "--n", "3", "--k", "2", "--q", "1",
+             "--max-deg", "3200"],
+            ["poisson", "dims", "--group", "C2", "--n", "3", "--k", "2", "--q", "1",
+             "--max-deg", "447"],
         ],
-        ids=["hilbert-trivial-n2", "hilbert-cap10", "poisson-cap10"],
+        ids=["hilbert-trivial-n2", "hilbert-cap10", "poisson-cap10", "poisson-series-3200",
+             "poisson-series-447"],
     )
     def test_refused_with_exit_3_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -208,6 +214,12 @@ class TestLongTables:
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert out == f"{hilbert_coefficients(AssocContext(cyclic_group(2), 3), 9)}\n"
+        # (max_deg + 1)^2 series steps: 446 is the largest degree under the default cap
+        argv = ["poisson", "dims", "--group", "C2", "--n", "3", "--k", "2", "--q", "1",
+                "--max-deg", "446", "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["dims"]) == 447
 
 
 class TestPoissonGradingConflict:
@@ -281,7 +293,7 @@ class TestLieTables:
             (lambda g: bruteforce_quotient_dimension(AssocContext(g, 4000), 1),
              r"^free algebra basis 15996000\^1 exceeds cap 200000$"),
             (lambda g: bruteforce_cohom_dimension(CohomContext(g, 4000), 1),
-             r"^wedge basis of size C\(15996000,1\) exceeds cap 200000$"),
+             r"^free algebra basis 15996000\^1 exceeds cap 200000$"),
         ],
         ids=["lie", "chord", "cohom"],
     )

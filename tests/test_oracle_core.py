@@ -59,8 +59,8 @@ MATRIX = [
 
 # sha256 over every row handed to rank_of_rows across MATRIX, in call
 # order; each row is written as its sorted (label, coefficient) pairs
-ROWS_DIGEST = "2df15a8a1eec01030117af6745eb633958a878182e8809967be972aba46a0454"
-ROWS_TOTAL = 22_524
+ROWS_DIGEST = "5f57cbf0d9d93390553bec37fe6087e248977efaa3383dea415f914774052a75"
+ROWS_TOTAL = 22_884
 
 
 @pytest.mark.parametrize("group, n, kind, deg, dim", MATRIX)
@@ -121,8 +121,8 @@ def test_infinite_groups_are_refused(call, name):
         ("lie", 3, 10, r"^free algebra basis 6\^3 exceeds cap 10$"),
         ("chord", 4, 200_000, r"^brute-force quotient is guarded to degree <= 3$"),
         ("chord", 3, 5, r"^free algebra basis 6\^3 exceeds cap 5$"),
-        ("cohom", 3, 200_000, r"^the rank oracle is implemented for degree 2 only$"),
-        ("cohom", 2, 10, r"^wedge basis of size C\(6,2\) exceeds cap 10$"),
+        ("cohom", 4, 200_000, r"^brute-force quotient is guarded to degree <= 3$"),
+        ("cohom", 2, 10, r"^free algebra basis 6\^2 exceeds cap 10$"),
     ],
 )
 def test_guard_and_cap_refusals(kind, deg, max_basis, message):
