@@ -18,8 +18,9 @@ module.
 
 The group ring Z[G^n] acts by slot-wise conjugation (slot i twists the
 decoration to mu*gamma, slot j to gamma*mu^-1), and the symmetric group
-acts by relabeling strands; both are degree-preserving automorphisms, and
-each is a letter map applied by ``StrandWordContext.substitute``.
+acts by relabeling strands; both are degree-preserving automorphisms and
+letter maps.  A relabeling is applied by ``StrandWordContext.substitute``;
+a conjugation keeps canonical words canonical and needs no rewrite.
 """
 
 from __future__ import annotations
@@ -104,12 +105,16 @@ class AssocContext(StrandWordContext):
     # -- group-ring and symmetric-group actions ---------------------------
 
     def conjugate(self, mu: GroupElement, slot: int, x: AssocElement) -> AssocElement:
-        """Conjugation by mu inserted at the given strand slot (1..n)."""
+        """Conjugation by mu inserted at the given strand slot (1..n).  It is a
+        bijection on the letters of each strand pair and keeps every top index,
+        so it maps distinct canonical words to distinct canonical words, with
+        no rewrite."""
         group = self.group
         group._check(mu)
         check_int_strands(slot)
         if not 1 <= slot <= self.n:
             raise ValueError(f"slot {slot} out of range for n={self.n}")
+        self._check(x)
         mu_inv = group.invert(mu)
 
         def map_letter(letter: Letter) -> Letter:
@@ -120,7 +125,9 @@ class AssocContext(StrandWordContext):
                 return (i, j, group.multiply(group.element_by_uid(uid), mu_inv).uid)
             return letter
 
-        return self.substitute(x, map_letter)
+        return AssocElement._pruned(
+            self, {tuple(map(map_letter, w)): c for w, c in x.terms.items()}
+        )
 
     def conjugate_tuple(self, decorations: Sequence[GroupElement], x: AssocElement) -> AssocElement:
         if len(decorations) != self.n:

@@ -38,12 +38,13 @@ scalar brings in Fractions.  q only scales the degree 2q * (bracket length).
 Letters inside a block are ordered by (lower strand j, decoration uid);
 words are tuples of letters.  An element is a ``sparse.Combination`` keyed
 by (top index, Lyndon word), the labels of ``poisson`` primitives.  The one
-bracket loop, ``bracket_sum``, sums coef * [x, y] into one dict.
+bracket loop, ``bracket_sum``, sums coef * [x, y] into one dict.  Each
+``LieContext`` memoizes the derivations and permutation images it computes
+in a memo of its own, which no other context reads and which is freed with it.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lyndon
@@ -72,13 +73,6 @@ def label_key(label: Label) -> Tuple[int, int, Word]:
     return (top, len(word), word)
 
 
-# group -> n -> structure memo, shared by every q; holding no reference to
-# the group, it dies with it.  It has two key shapes: derivations
-# (s, act, w), an int and two Lyndon words, and permutation images
-# (perm, i, w), a tuple, an int and a word, so the two never collide.
-_STRUCTURES: "weakref.WeakKeyDictionary[GroupContext, dict]" = weakref.WeakKeyDictionary()
-
-
 class LieContext:
     def __init__(self, group: GroupContext, n: int, q: int = 1):
         if n < 2:
@@ -88,7 +82,10 @@ class LieContext:
         self.group = group
         self.n = n
         self.q = q
-        self._deriv_cache = _STRUCTURES.setdefault(group, {}).setdefault(n, {})
+        # this context's structure memo, freed with it.  Its two key shapes:
+        # derivations (s, act, w), an int and two Lyndon words, and permutation
+        # images (perm, i, w), a tuple, an int and a word, so they never collide.
+        self._deriv_cache = {}
 
     # -- element constructors -------------------------------------------
 
@@ -190,7 +187,7 @@ class LieContext:
         return LieElement._pruned(self, out)
 
     def _image(self, perm: Tuple[int, ...], i: int, w: Word) -> Terms:
-        """The image of b(w) of block i, memoized per (group, n) like the
+        """The image of b(w) of block i, memoized in this context like the
         images of its sub-words: a letter maps to a generator, a longer word
         to the bracket of its factors' images."""
         key = (perm, i, w)

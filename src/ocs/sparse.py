@@ -13,7 +13,7 @@ labels are words of strand letters (i, j, uid), shared by the chord and
 cohomology algebras; ``StrandWordContext`` is their shared (group, n)
 context, with the one product loop ``product_sum`` (concatenate every
 pair, then rewrite once) and the one letter-substitution action
-``substitute``, through which the chord algebra's actions are defined.
+``substitute``, through which the chord algebra relabels strands.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 from ocs.errors import ResourceLimitError
 from ocs.groups import cyclic_group, load_group
 from ocs import assoc as assoc_mod
+from ocs import sparse
 from ocs import lie as lie_mod
 from ocs.linalg import rank_of_rows
 from ocs.verify import random_lie_element
@@ -146,6 +147,43 @@ class TestActions:
         ab = ctx.conjugate(g, 1, ctx.conjugate(h, 3, a))
         ba = ctx.conjugate(h, 3, ctx.conjugate(g, 1, a))
         assert ab == ba
+
+    @pytest.mark.parametrize("name", ["S3", "surface:2"])
+    def test_conjugation_rewrites_nothing_and_matches_the_rewritten_route(self, name, monkeypatch):
+        group = s3_group() if name == "S3" else load_group(name)
+        decorations = group.enumerate_ball(1)
+        ctx = assoc_mod.AssocContext(group, 3)
+        s = ctx.zero()
+        for i, j in ((2, 1), (3, 1), (3, 2)):
+            for g in decorations[:3]:
+                s = s + ctx.generator(i, j, g)
+        x = s * s * s + s
+        assert len(x.terms) > 500
+        rewrites = []
+        original = sparse.rewrite
+
+        def counting(terms, rule):
+            rewrites.append(len(terms))
+            return original(terms, rule)
+
+        monkeypatch.setattr(sparse, "rewrite", counting)
+        monkeypatch.setattr(assoc_mod, "rewrite", counting)
+        for slot in (1, 2, 3):
+            for mu in decorations:
+                got = ctx.conjugate(mu, slot, x)
+                assert rewrites == []
+
+                def twisted(letter):
+                    i, j, uid = letter
+                    g = group.element_by_uid(uid)
+                    if slot == i:
+                        g = group.multiply(mu, g)
+                    elif slot == j:
+                        g = group.multiply(g, group.invert(mu))
+                    return ctx.letter(i, j, g)
+
+                assert got.terms == ctx.substitute(x, twisted).terms
+                rewrites.clear()
 
     def test_permutation_transposition(self, c2):
         # (i j) sends X^gamma_{i,j} to X^{gamma^-1}_{i,j}

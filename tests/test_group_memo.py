@@ -10,14 +10,8 @@ import weakref
 import pytest
 
 from ocs import lie as lie_mod
-from ocs.groups import FiniteGroup, LatticeGroup, SurfaceGroup, load_group
-
-
-def s3_group():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
-    return FiniteGroup(["".join(map(str, p)) for p in perms], table), perms
+from ocs.groups import LatticeGroup, SurfaceGroup, load_group
+from test_nonabelian_oracles import s3_group
 
 
 def reference_product(H, a, b):
@@ -48,7 +42,7 @@ def test_memoized_results_match_a_fresh_reduction(name, radius, size):
 
 
 def test_s3_products_and_inverses_match_the_table():
-    G, perms = s3_group()
+    G, perms = s3_group(), list(itertools.permutations(range(3)))
     elements = G.elements()
     for _ in range(2):  # the second pass reads the memo
         for a, x in zip(perms, elements):
@@ -124,10 +118,9 @@ def test_dropped_group_and_its_lie_memo_are_collected():
         group.invert(x)
         for y in ball:
             group.multiply(x, y)
-    group_ref = weakref.ref(group)
-    gc.collect()
-    before = len(lie_mod._STRUCTURES)
-    del group, ctx, ball, x, y
+    probe = ctx._deriv_cache["probe"] = set()  # a set can be weakly referenced
+    group_ref, probe_ref = weakref.ref(group), weakref.ref(probe)
+    del group, ctx, ball, x, y, probe
     gc.collect()
     assert group_ref() is None
-    assert len(lie_mod._STRUCTURES) == before - 1
+    assert probe_ref() is None

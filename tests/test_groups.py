@@ -14,6 +14,7 @@ from ocs.groups import (
     group_from_spec,
     load_group,
 )
+from test_nonabelian_oracles import s3_group
 
 GENUS2_LETTERS = [1, -1, 2, -2, 3, -3, 4, -4]
 
@@ -293,13 +294,6 @@ def test_backend_mismatch():
     other = cyclic_group(2)
     with pytest.raises(ValueError, match="mismatch"):
         C2.multiply(C2.identity(), other.identity())
-
-
-def s3_group():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
-    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
 
 
 BACKENDS = {

@@ -5,16 +5,10 @@ from fractions import Fraction
 import pytest
 
 from ocs.errors import ResourceLimitError
-from ocs.groups import FiniteGroup, SurfaceGroup, cyclic_group
+from ocs.groups import SurfaceGroup, cyclic_group
 from ocs import lie as lie_mod
 from ocs.verify import eval_expression_tree, random_expression_tree, random_lie_element
-
-
-def s3_group():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
-    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
+from test_nonabelian_oracles import s3_group
 
 
 @pytest.fixture

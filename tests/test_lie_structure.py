@@ -1,12 +1,12 @@
-"""Integer coefficients and the per-(group, n) memos of the Lie structure."""
+"""Integer coefficients and the per-context memo of the Lie structure."""
 
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
 
 from ocs import expressions
-from ocs import lie as lie_mod
 from ocs.assoc import AssocContext
 from ocs.cohomology import CohomContext
 from ocs.groups import cyclic_group
@@ -16,24 +16,27 @@ from ocs.verify import VerifyConfig, eval_expression_tree, random_expression_tre
 
 
 class TestSharedStructure:
-    def test_contexts_of_every_grading_share_one_structure(self):
+    """No two contexts share a structure memo, whatever their group, n or q."""
+
+    def test_every_context_holds_its_own_memo(self):
         C2 = cyclic_group(2)
         ctx1, ctx3 = LieContext(C2, 3, q=1), LieContext(C2, 3, q=3)
-        assert ctx1._deriv_cache is ctx3._deriv_cache
         pctx = PoissonContext(C2, 3, PoissonGrading(3, 2))
-        assert pctx.lie._deriv_cache is ctx1._deriv_cache
         suspended = suspension(pctx.generator(2, 1, C2.identity()))
-        assert suspended.ctx.lie._deriv_cache is ctx1._deriv_cache
+        memos = [ctx1._deriv_cache, ctx3._deriv_cache, pctx.lie._deriv_cache]
+        memos.append(suspended.ctx.lie._deriv_cache)
+        assert all(a is not b for a, b in itertools.combinations(memos, 2))
         g = C2.parse_element("g")
         ctx1.bracket(ctx1.generator(3, 1, g), ctx1.generator(2, 1, g))
-        assert ctx3._deriv_cache  # filled through ctx1
+        assert ctx1._deriv_cache
+        assert not ctx3._deriv_cache  # filled through ctx1 only
 
     def test_n_and_group_object_separate_structures(self):
         C2, other = cyclic_group(2), cyclic_group(2)
         assert LieContext(C2, 3)._deriv_cache is not LieContext(C2, 4)._deriv_cache
         assert LieContext(C2, 3)._deriv_cache is not LieContext(other, 3)._deriv_cache
 
-    def test_structure_is_freed_with_its_group(self):
+    def test_memo_is_freed_with_its_context(self):
         group = cyclic_group(3)
         ctx = LieContext(group, 3)
         g = group.parse_element("g")
@@ -45,16 +48,16 @@ class TestSharedStructure:
         probe = Probe()
         ctx._deriv_cache["probe"] = probe
         probe_ref, group_ref = weakref.ref(probe), weakref.ref(group)
+        del probe, ctx
         gc.collect()
-        before = len(lie_mod._STRUCTURES)
-        del probe, ctx, g, group
+        assert probe_ref() is None  # the memo dict is gone while its group lives
+        assert group_ref() is group
+        del g, group
         gc.collect()
         assert group_ref() is None
-        assert probe_ref() is None  # the memo dict itself is gone
-        assert len(lie_mod._STRUCTURES) == before - 1
 
     def test_q_invariance_on_separate_groups(self):
-        # two group objects, so the check does not run through one shared memo
+        # two group objects too: uid for uid, the two sides still agree
         G1, G3 = cyclic_group(3), cyclic_group(3)
         ctx1, ctx3 = LieContext(G1, 4, q=1), LieContext(G3, 4, q=3)
         assert ctx1._deriv_cache is not ctx3._deriv_cache
@@ -102,13 +105,15 @@ class TestVerifySidesIndependent:
     def test_suspension_catches_a_bracket_that_differs_between_sides(self, monkeypatch):
         cfg = VerifyConfig(group="C2", n=3, seed=1, samples=30)
         assert run_suite("suspension", cfg)["failures"] == []
-        first = []
+        created = []
+        original = LieContext.__init__
 
-        def skewed(ctx):
-            first[:] = first or [ctx.group]
-            return ctx.group is not first[0]
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            created.append(self)
 
-        _skew_memoized_derivation(monkeypatch, skewed)
+        monkeypatch.setattr(LieContext, "__init__", init)
+        _skew_memoized_derivation(monkeypatch, lambda ctx: ctx is not created[0])
         failures = run_suite("suspension", cfg)["failures"]
         assert any(f["instance"].startswith("suspension-naturality[") for f in failures)
 

@@ -6,23 +6,16 @@ Leibniz rules, and brackets primitives through a Lie context on a separate
 copy of the group, so it shares no memo with the context under test.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ocs.groups import FiniteGroup, cyclic_group
+from ocs.groups import cyclic_group
 from ocs.lie import LieContext, LieElement
 from ocs.poisson import PoissonContext, PoissonElement, PoissonGrading
 from ocs.verify import monomials_by_degree
-
-
-def s3_group():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
-    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
+from test_nonabelian_oracles import s3_group
 
 
 def leibniz_bracket(ctx, reference_lie, left, right):

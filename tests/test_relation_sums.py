@@ -2,7 +2,6 @@
 and ``StrandWordContext.product_sum`` against the fold of binary products
 they stand for: ``zero() + op(x, y).scale(coef)`` over (coef, x, y)."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,16 +10,10 @@ import pytest
 from ocs import lie, poisson
 from ocs.assoc import AssocContext
 from ocs.cohomology import CohomContext
-from ocs.groups import FiniteGroup, cyclic_group, load_group
+from ocs.groups import cyclic_group, load_group
+from test_nonabelian_oracles import s3_group
 
 COEFS = [0, 1, -1, 2, -3, Fraction(1, 2)]
-
-
-def s3_group():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
-    return FiniteGroup(["".join(map(str, p)) for p in perms], table)
 
 
 def decorations(group):

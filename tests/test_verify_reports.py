@@ -8,7 +8,6 @@ reports make every check that goes through ``is_zero`` or
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
@@ -17,19 +16,15 @@ from ocs.groups import GroupContext
 from ocs.lie import LieElement
 from ocs.sparse import Combination
 from ocs.verify import VerifyConfig, run_suite
+from test_nonabelian_oracles import s3_group
 
 
 @pytest.fixture
 def s3_spec(tmp_path):
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms]
+    group = s3_group()
+    spec = {"kind": "finite", "elements": list(group.names), "table": list(map(list, group.table))}
     path = tmp_path / "s3.json"
-    path.write_text(
-        json.dumps(
-            {"kind": "finite", "elements": ["".join(map(str, p)) for p in perms], "table": table}
-        )
-    )
+    path.write_text(json.dumps(spec))
     return str(path)
 
 
@@ -46,6 +41,9 @@ PASSING = [
     ("lattice", 3, 0, "03ca02cc3c1c75657d841595beb93b9bb2d62d70c85d15d0515bfe00900b71d5"),
     ("surface:2", 3, 0, "796232d0302afc63a7f1c94a01417f76053755b41f57d570a2bd2c0aca41f1b9"),
     ("C2", 4, 0, "d893a9fcd7042577e56edf4388cb33b4af3ea8cb8f683fc5abf7cd673144123e"),
+    # sampled, so the suspension and regrading checks over infinite groups are pinned too
+    ("lattice", 3, 4, "4d3f1381ab7067c5f937a1f397abf18796d7efd6570bf63aa97eaf26adffdf15"),
+    ("surface:2", 3, 4, "31809738193cebbe0f1b01c0b4d5503eb96df8868968ea231c1078cfdd705556"),
 ]
 
 
