@@ -603,7 +603,6 @@ def suite_suspension(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
     decorations = _decorations(cfg, group)
     # each context has its own Lie memo, so the suspended side computes its
     # primitive brackets afresh instead of reading the memo pctx fills
-    source = poisson_mod.PoissonContext(group, cfg.n, grading)
     target = poisson_mod.PoissonContext(group, cfg.n, grading.suspended())
     for trial in range(min(cfg.samples, 50)):
         i = rng.randint(2, cfg.n)
@@ -611,13 +610,9 @@ def suite_suspension(cfg: VerifyConfig) -> Tuple[int, List[dict]]:
         s = rng.randint(2, cfg.n)
         t = rng.randint(1, s - 1)
         sigma, tau = rng.choice(decorations), rng.choice(decorations)
-        lhs = poisson_mod.suspension(
-            pctx.bracket(pctx.generator(i, j, sigma), pctx.generator(s, t, tau))
-        )
-        rhs = target.bracket(
-            poisson_mod.suspension(source.generator(i, j, sigma)),
-            poisson_mod.suspension(source.generator(s, t, tau)),
-        )
+        x, y = pctx.generator(i, j, sigma), pctx.generator(s, t, tau)
+        lhs = poisson_mod.suspension(pctx.bracket(x, y))
+        rhs = target.bracket(poisson_mod.suspension(x), poisson_mod.suspension(y))
         rec.check(lhs.terms == rhs.terms, lhs, rhs, "suspension-naturality[{}]", trial)
     a = pctx.generator(2, 1, decorations[0])
     product = pctx.multiply(a, a)  # primitives are even here, so a*a != 0
